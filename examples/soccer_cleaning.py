@@ -48,7 +48,7 @@ def main() -> None:
         for strategy in (QOCODeletion(), QOCOMinusDeletion(), RandomDeletion()):
             dirty = dirty_master.copy()
             oracle = AccountingOracle(PerfectOracle(ground_truth))
-            config = QOCOConfig(deletion_strategy=strategy, seed=7, max_iterations=20)
+            config = QOCOConfig(deletion=strategy, seed=7, max_iterations=20)
             report = QOCO(dirty, oracle, config).clean(query)
             assert evaluate(query, dirty) == evaluate(query, ground_truth)
             rows.append(

@@ -273,8 +273,8 @@ def repair(
     """Repair *database* until *constraints* hold, asking the oracle.
 
     *constraints* are FD strings (``"games: date -> winner"``),
-    :class:`~repro.constraints.FD` / ``DenialConstraint`` objects, or an
-    iterable of either; *strategy* is a ``"repair"``-kind registry name
+    :class:`~repro.constraints.FD` / ``ForeignKey`` / ``DenialConstraint``
+    objects, or an iterable of them; *strategy* is a ``"repair"``-kind registry name
     (``"oracle"`` default, ``"exhaustive"``, ``"greedy"``); remaining
     keywords (``budget=``, ``updates=``, ``backend=``, ``max_rounds=``)
     reach the repairer.  Returns a

@@ -6,8 +6,10 @@ dependencies (Livshits, Kimelfeld & Roy) and SAT-based consistent query
 answering over denial constraints (Dixit & Kolaitis).  This package
 brings both constraint languages onto the machinery PRs 1-9 built:
 
-* :mod:`repro.constraints.ast` — :class:`FD` (``R: X -> Y``) and
-  :class:`DenialConstraint` (a forbidden conjunctive-query body);
+* :mod:`repro.constraints.ast` — :class:`FD` (``R: X -> Y``; a key is
+  the FD onto every other attribute), :class:`ForeignKey`
+  (``child[A] ⊆ parent[B]``) and :class:`DenialConstraint` (a forbidden
+  conjunctive-query body);
 * :mod:`repro.constraints.violations` — the detector: every constraint
   compiles to boolean conjunctive queries and runs on any
   :class:`~repro.query.backend.EvalBackend` (columnar/SQL included);
@@ -24,7 +26,7 @@ brings both constraint languages onto the machinery PRs 1-9 built:
 See ``docs/constraints.md``.
 """
 
-from .ast import FD, ConstraintError, DenialConstraint, parse_fd
+from .ast import FD, ConstraintError, DenialConstraint, ForeignKey, parse_fd
 from .repair import (
     CandidateRepair,
     RepairError,
@@ -48,6 +50,7 @@ __all__ = [
     "DenialConstraint",
     "ExhaustiveRepairer",
     "FD",
+    "ForeignKey",
     "OracleRepairer",
     "RepairBudget",
     "RepairError",

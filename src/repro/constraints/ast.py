@@ -1,10 +1,14 @@
-"""The constraint language: functional dependencies and denial constraints.
+"""The constraint language: FDs, foreign keys and denial constraints.
 
-Both constraint kinds reduce to *forbidden conjunctive-query bodies*:
+Every constraint kind reduces to *forbidden conjunctive-query bodies*:
 
 * an FD ``R: X -> Y`` forbids two ``R``-tuples agreeing on every ``X``
   attribute while disagreeing on some ``Y`` attribute — one boolean CQ
-  (with a single inequality) per right-hand-side attribute;
+  (with a single inequality) per right-hand-side attribute.  A key is
+  the FD ``X -> every other attribute``;
+* a foreign key ``child[A] ⊆ parent[B]`` forbids a child tuple with no
+  matching parent — the boolean CQ ``child(…), not parent(…)`` (the
+  parent's unreferenced columns are local wildcards under the negation);
 * a denial constraint *is* a forbidden body: a conjunction of atoms and
   inequalities that must have no satisfying assignment in a consistent
   instance.
@@ -26,6 +30,15 @@ from ..query.ast import Atom, Inequality, Query, Var
 
 class ConstraintError(ValueError):
     """Raised for malformed constraints (unknown attributes, empty sides)."""
+
+
+def _positions(schema: Schema, relation: str, attributes: tuple[str, ...]) -> tuple[int, ...]:
+    """The column positions of *attributes* in *relation* under *schema*."""
+    try:
+        rel = schema.relation(relation)
+        return tuple(rel.attribute_index(a) for a in attributes)
+    except SchemaError as error:
+        raise ConstraintError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -64,20 +77,79 @@ class FD:
 
     def positions(self, schema: Schema) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(lhs positions, rhs positions)`` under *schema*."""
-        try:
-            rel = schema.relation(self.relation)
-        except SchemaError as error:
-            raise ConstraintError(str(error)) from None
-        try:
-            return (
-                tuple(rel.attribute_index(a) for a in self.lhs),
-                tuple(rel.attribute_index(a) for a in self.rhs),
-            )
-        except SchemaError as error:
-            raise ConstraintError(str(error)) from None
+        return (
+            _positions(schema, self.relation, self.lhs),
+            _positions(schema, self.relation, self.rhs),
+        )
 
     def __str__(self) -> str:
         return f"{self.relation}: {', '.join(self.lhs)} -> {', '.join(self.rhs)}"
+
+
+@dataclass(frozen=True)
+class ForeignKey:
+    """``child[child_columns] ⊆ parent[parent_columns]`` over attribute names.
+
+    ``ForeignKey("games", ("winner",), "teams", ("team",))`` reads "every
+    game's winner is a team".  A violation is one dangling child fact:
+    either the child is false or its parent is missing from the
+    database, so repair asks about the child and completes the parent
+    (:class:`~repro.constraints.repairer.OracleRepairer`).
+    """
+
+    child: str
+    child_columns: tuple[str, ...]
+    parent: str
+    parent_columns: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.child_columns, tuple):
+            object.__setattr__(self, "child_columns", tuple(self.child_columns))
+        if not isinstance(self.parent_columns, tuple):
+            object.__setattr__(self, "parent_columns", tuple(self.parent_columns))
+        if not self.child_columns:
+            raise ConstraintError(f"foreign key on {self.child!r} needs columns")
+        if len(self.child_columns) != len(self.parent_columns):
+            raise ConstraintError(
+                f"foreign key {self.child!r} -> {self.parent!r}: column lists "
+                f"differ in length"
+            )
+
+    @property
+    def name(self) -> str:
+        return (
+            f"fk:{self.child}:{','.join(self.child_columns)}->"
+            f"{self.parent}:{','.join(self.parent_columns)}"
+        )
+
+    def as_query(self, schema: Schema) -> Query:
+        """``child(c̄), not parent(…)``: witnesses are the dangling children."""
+        arity = schema.arity(self.child)
+        child = Atom(self.child, tuple(Var(f"c{i}") for i in range(arity)))
+        return Query(
+            head=(),
+            atoms=(child,),
+            negated_atoms=(self.parent_atom(schema, child.terms),),
+            name=self.name,
+        )
+
+    def parent_atom(self, schema: Schema, child_terms: tuple) -> Atom:
+        """The parent a child row (its values or variables) needs: the
+        referenced columns bound to the child's, the rest variables
+        ``v<i>`` (ground when the key covers every parent column)."""
+        child_positions = _positions(schema, self.child, self.child_columns)
+        parent_positions = _positions(schema, self.parent, self.parent_columns)
+        bound = {p: child_terms[c] for c, p in zip(child_positions, parent_positions)}
+        arity = schema.arity(self.parent)
+        return Atom(
+            self.parent, tuple(bound.get(i, Var(f"v{i}")) for i in range(arity))
+        )
+
+    def __str__(self) -> str:
+        return (
+            f"{self.child}[{', '.join(self.child_columns)}] -> "
+            f"{self.parent}[{', '.join(self.parent_columns)}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -122,7 +194,7 @@ class DenialConstraint:
 
 
 #: Anything the detector accepts as one constraint.
-Constraint = Union[FD, DenialConstraint]
+Constraint = Union[FD, ForeignKey, DenialConstraint]
 
 
 def parse_fd(text: str) -> FD:
@@ -147,13 +219,13 @@ def as_constraints(
     specs: Union[Constraint, str, Iterable[Union[Constraint, str]]]
 ) -> tuple[Constraint, ...]:
     """Normalize user input: one constraint/string or an iterable of them."""
-    if isinstance(specs, (FD, DenialConstraint, str)):
+    if isinstance(specs, (FD, ForeignKey, DenialConstraint, str)):
         specs = (specs,)
     out: list[Constraint] = []
     for spec in specs:
         if isinstance(spec, str):
             out.append(parse_fd(spec))
-        elif isinstance(spec, (FD, DenialConstraint)):
+        elif isinstance(spec, (FD, ForeignKey, DenialConstraint)):
             out.append(spec)
         else:
             raise ConstraintError(f"not a constraint: {spec!r}")
@@ -202,6 +274,7 @@ __all__ = [
     "ConstraintError",
     "DenialConstraint",
     "FD",
+    "ForeignKey",
     "as_constraints",
     "fd_violation_queries",
     "parse_fd",

@@ -148,9 +148,12 @@ def inferable_deletions(violations: Iterable[Violation]) -> Optional[set[Fact]]:
     (its singleton edges already hit everything), that set is the only
     subset-minimal deletion repair — no oracle question can change the
     answer, so the repairer applies it for free.  Returns ``None`` when
-    the minimal repair is not unique.
+    the minimal repair is not unique.  Foreign-key violations are left
+    out: a dangling child may be true, its parent missing.
     """
-    return unique_minimal_hitting_set(violation_hypergraph(violations))
+    return unique_minimal_hitting_set(
+        violation_hypergraph(v for v in violations if v.parent is None)
+    )
 
 
 __all__ = [

@@ -16,11 +16,17 @@ violation contains at least one false fact, so
   the repairer runs under a :class:`~repro.server.SessionManager`)
   dedupe structurally.
 
+Foreign-key violations stay out of the hypergraph: a dangling child may
+be true with its parent missing, so its singleton edge proves nothing.
+Each one takes its own path — ask ``TRUE(child)?``, delete the child on
+a no, otherwise insert the parent, completed by one ``COMPL`` over the
+parent atom when the key leaves columns unbound.
+
 Cost/deadline budgets degrade gracefully: when the budget runs out the
-remaining edges are hit by the frequency-greedy deletion repair without
-asking anything — the result satisfies the constraints (best-effort)
-but is no longer certified against the ground truth, so the report says
-``converged=False``.
+remaining edges (dangling children included) are hit by the
+frequency-greedy deletion repair without asking anything — the result
+satisfies the constraints (best-effort) but is no longer certified
+against the ground truth, so the report says ``converged=False``.
 
 :class:`ExhaustiveRepairer` is the enumerate-and-score baseline: it
 verifies every fact of every violation, then deletes the false ones —
@@ -39,7 +45,9 @@ from ..db.database import Database
 from ..db.edits import Edit, EditKind, delete as delete_edit, insert as insert_edit
 from ..db.tuples import Fact
 from ..oracle.base import AccountingOracle, Oracle
+from ..query.ast import Atom, Query, Var
 from ..query.backend import EvalBackend
+from ..query.evaluator import negated_match_exists
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .ast import Constraint, as_constraints
 from .repair import greedy_repair, violation_hypergraph
@@ -135,9 +143,9 @@ class OracleRepairer:
         The crowd backend; wrapped in an :class:`AccountingOracle` if it
         is not one already, so questions are logged, charged, and cached.
     constraints:
-        :class:`~repro.constraints.ast.FD` / ``DenialConstraint``
-        objects, FD strings (``"games: date -> winner"``), or an
-        iterable of either.
+        :class:`~repro.constraints.ast.FD` / ``ForeignKey`` /
+        ``DenialConstraint`` objects, FD strings
+        (``"games: date -> winner"``), or an iterable of them.
     backend:
         Evaluation substrate for violation detection (``EvalBackend``
         name or instance; default the reference engine).
@@ -151,9 +159,9 @@ class OracleRepairer:
         Optional :class:`RepairBudget`; exhaustion degrades to the
         greedy best-effort repair.
     max_rounds:
-        Detection/resolution rounds (updates can surface new
-        violations; deletions cannot, since violation queries are
-        positive CQs).
+        Detection/resolution rounds.  Repairs can surface new
+        violations: an update or an inserted parent can break an FD,
+        and deleting a parent can leave its children dangling.
     """
 
     def __init__(
@@ -214,8 +222,9 @@ class OracleRepairer:
         cost_before: int,
         start: float,
     ) -> None:
-        """Decide a repair for every edge of this round's hypergraph."""
-        edges = violation_hypergraph(violations)
+        """Decide a repair for every violation found this round."""
+        dangling = [v for v in violations if v.parent is not None]
+        edges = violation_hypergraph(v for v in violations if v.parent is None)
         # Edges carry their FD context so updates know which cell differs.
         pair_context: dict[frozenset[Fact], Violation] = {}
         for violation in violations:
@@ -237,10 +246,8 @@ class OracleRepairer:
                 edges = [e for e in edges if fact not in e]
                 continue
             # 2. budget gate before the next paid question
-            spent = self.oracle.log.total_cost - cost_before
-            elapsed = time.perf_counter() - start
-            if self.budget is not None and self.budget.exhausted(spent, elapsed):
-                self._degrade(edges, report)
+            if self._exhausted(cost_before, start):
+                self._degrade(edges + [v.facts for v in dangling if self._dangles(v)], report)
                 return
             # 3. ask about the most shared fact (cache makes repeats free)
             fact = self._most_frequent(edges)
@@ -265,8 +272,52 @@ class OracleRepairer:
                 if self.updates:
                     self._try_update(fact, pair_context, certified, report)
                 edges = [e for e in edges if fact not in e]
+        for index, violation in enumerate(dangling):
+            if not self._dangles(violation):
+                continue  # resolved by an earlier repair this round
+            if self._exhausted(cost_before, start):
+                rest = [v.facts for v in dangling[index:] if self._dangles(v)]
+                self._degrade(rest, report)
+                return
+            (child,) = violation.facts
+            if self.oracle.verify_fact(child):
+                self._insert_parent(violation.parent, report)
+            else:
+                self._delete(child, report)
 
     # ------------------------------------------------------------------
+    def _dangles(self, violation: Violation) -> bool:
+        """Whether a foreign-key violation still holds in the database."""
+        (child,) = violation.facts
+        return child in self.database and not negated_match_exists(
+            violation.parent, {}, self.database
+        )
+
+    def _exhausted(self, cost_before: int, start: float) -> bool:
+        spent = self.oracle.log.total_cost - cost_before
+        elapsed = time.perf_counter() - start
+        return self.budget is not None and self.budget.exhausted(spent, elapsed)
+
+    def _insert_parent(self, parent: Atom, report: RepairReport) -> None:
+        """Insert the missing parent of a true child.
+
+        A fully bound parent is inserted as is; otherwise the crowd
+        fills the unbound columns through ``COMPL`` over the one-atom
+        query ``parent(bound…, v_i…)``.  A crowd that knows no such
+        parent leaves the violation standing (``converged=False``).
+        """
+        if not parent.is_ground():
+            head = tuple(t for t in parent.terms if isinstance(t, Var))
+            query = Query(head=head, atoms=(parent,), name=f"fk:{parent.relation}")
+            completion = self.oracle.complete_assignment(query, {})
+            if completion is None:
+                report.converged = False
+                return
+            parent = parent.substitute(completion)
+        fact = Fact(parent.relation, parent.terms)
+        if self.database.insert(fact):
+            report.edits.append(insert_edit(fact))
+
     def _most_frequent(self, edges: list[frozenset[Fact]]) -> Fact:
         """The fact on the most edges; known verdicts first so cached
         questions (free) are preferred over fresh ones at equal degree."""
@@ -326,9 +377,10 @@ class ExhaustiveRepairer:
     ``TRUE(R(ā))?`` per distinct fact of the violation hypergraph, in
     deterministic order, no frequency ordering and no inference — then
     deletes every fact the oracle called false.  Repeats until
-    consistent.  Same final database as the oracle-guided path under a
-    perfect oracle; strictly more questions whenever any inference or
-    free deletion fires.
+    consistent.  For FDs and denial constraints: same final database as
+    the oracle-guided path under a perfect oracle; strictly more
+    questions whenever any inference or free deletion fires.  It never
+    inserts, so a true child with a missing parent stays dangling.
     """
 
     def __init__(

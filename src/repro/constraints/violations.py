@@ -2,7 +2,8 @@
 
 A denial constraint *is* a boolean conjunctive query; an FD compiles to
 one boolean CQ per right-hand-side attribute
-(:func:`repro.constraints.ast.fd_violation_queries`).  The detector
+(:func:`repro.constraints.ast.fd_violation_queries`) and a foreign key
+to ``child(…), not parent(…)``.  The detector
 runs those queries through the pluggable
 :class:`~repro.query.backend.EvalBackend` interface and reads each
 answer's *witnesses* — the grounded fact sets — as the violations.
@@ -12,16 +13,22 @@ collapse to one :class:`Violation` for free.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from ..db.database import Database
 from ..db.tuples import Fact
-from ..query.ast import Query
+from ..query.ast import Atom, Query
 from ..query.backend import EvalBackend, resolve_backend
 from ..telemetry import TELEMETRY as _TELEMETRY
-from .ast import Constraint, DenialConstraint, FD, as_constraints, fd_violation_queries
-
-from dataclasses import dataclass
+from .ast import (
+    FD,
+    Constraint,
+    DenialConstraint,
+    ForeignKey,
+    as_constraints,
+    fd_violation_queries,
+)
 
 
 @dataclass(frozen=True)
@@ -31,16 +38,21 @@ class Violation:
     For an FD this is a pair of same-relation facts agreeing on the LHS
     and differing on one RHS attribute (``rhs_position`` names it, so
     the repair enumerator can propose value updates); for a denial
-    constraint it is the grounded body.  Since the ground truth
-    satisfies every constraint, **at least one fact of every violation
-    is false** — a violation is a witness in the Section 4 sense, and
-    the whole hitting-set treatment applies.
+    constraint it is the grounded body; for a foreign key it is the
+    dangling child alone.  Since the ground truth satisfies every
+    constraint, an FD or denial violation has **at least one false
+    fact** — a witness in the Section 4 sense, and the whole
+    hitting-set treatment applies.  A foreign-key violation is
+    different: the child may be true and the *parent* missing.
     """
 
     constraint_name: str
     facts: frozenset[Fact]
-    #: RHS column of the violated FD (None for denial constraints).
+    #: RHS column of the violated FD (None for other constraints).
     rhs_position: Optional[int] = None
+    #: The missing parent of a foreign-key violation, referenced columns
+    #: bound and the rest variables (None for other constraints).
+    parent: Optional[Atom] = None
 
     def __str__(self) -> str:
         body = ", ".join(sorted(str(f) for f in self.facts))
@@ -55,6 +67,8 @@ def violation_queries(
         _, rhs_positions = constraint.positions(schema)
         queries = fd_violation_queries(constraint, schema)
         return list(zip(queries, rhs_positions))
+    if isinstance(constraint, ForeignKey):
+        return [(constraint.as_query(schema), None)]
     if isinstance(constraint, DenialConstraint):
         return [(constraint.as_query(), None)]
     raise TypeError(f"not a constraint: {constraint!r}")
@@ -88,8 +102,12 @@ def find_violations(
                         if key in seen:
                             continue
                         seen.add(key)
+                        parent = None
+                        if isinstance(constraint, ForeignKey):
+                            (child,) = witness
+                            parent = constraint.parent_atom(database.schema, child.values)
                         found.append(
-                            Violation(constraint.name, witness, rhs_position)
+                            Violation(constraint.name, witness, rhs_position, parent)
                         )
     found.sort(
         key=lambda v: (

@@ -1,7 +1,6 @@
 """QOCO's cleaning algorithms (Algorithms 1-3) and split strategies."""
 
 from .deletion import (
-    DELETION_STRATEGIES,
     DeletionError,
     DeletionStrategy,
     QOCODeletion,
@@ -11,7 +10,6 @@ from .deletion import (
 )
 from .insertion import InsertionConfig, InsertionError, crowd_add_missing_answer
 from .composite import crowd_remove_wrong_answer_composite
-from .constraints import ConstraintCleaner, ConstraintRepairError, RepairReport
 from .heuristics import ResponsibilityDeletion, TrustScoreDeletion, frequency_trust
 from .negation import (
     add_missing_answer_with_negation,
@@ -20,15 +18,13 @@ from .negation import (
 from .parallel import ParallelQOCO, RoundScheduler
 from .qoco import QOCO, QOCOConfig, resolve_config, resolve_planner
 from .registry import REGISTRY, RegistryError, StrategyRegistry, resolve_strategy
-from .report import CleaningReport, ParallelReport, Report, ReportLike
+from .report import Report, ReportLike
 from .ucq import (
     UCQCleaner,
-    UnionQOCO,
     add_missing_answer_union,
     remove_wrong_answer_union,
 )
 from .split import (
-    SPLIT_STRATEGIES,
     MinCutSplit,
     NaiveSplit,
     ProvenanceSplit,
@@ -37,15 +33,10 @@ from .split import (
 )
 
 __all__ = [
-    "CleaningReport",
-    "ConstraintCleaner",
-    "ConstraintRepairError",
-    "RepairReport",
     "ResponsibilityDeletion",
     "TrustScoreDeletion",
     "crowd_remove_wrong_answer_composite",
     "frequency_trust",
-    "DELETION_STRATEGIES",
     "DeletionError",
     "DeletionStrategy",
     "InsertionConfig",
@@ -53,7 +44,6 @@ __all__ = [
     "MinCutSplit",
     "NaiveSplit",
     "ParallelQOCO",
-    "ParallelReport",
     "ProvenanceSplit",
     "RoundScheduler",
     "QOCO",
@@ -66,11 +56,9 @@ __all__ = [
     "RegistryError",
     "Report",
     "ReportLike",
-    "SPLIT_STRATEGIES",
     "SplitStrategy",
     "StrategyRegistry",
     "UCQCleaner",
-    "UnionQOCO",
     "resolve_config",
     "resolve_planner",
     "resolve_strategy",

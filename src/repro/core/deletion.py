@@ -226,16 +226,9 @@ def _verify_everything(
     return edits
 
 
-#: Registry used by the experiment harness and the wire codec.
-DELETION_STRATEGIES: dict[str, type[DeletionStrategy]] = {
-    "QOCO": QOCODeletion,
-    "QOCO-": QOCOMinusDeletion,
-    "Random": RandomDeletion,
-}
-
 # String-name resolution (QOCOConfig(deletion="qoco"), wire configs)
 # goes through the unified strategy registry.
 from .registry import REGISTRY as _REGISTRY  # noqa: E402
 
-for _name, _cls in DELETION_STRATEGIES.items():
-    _REGISTRY.register("deletion", _name.lower(), _cls, aliases=(_name,))
+for _cls in (QOCODeletion, QOCOMinusDeletion, RandomDeletion):
+    _REGISTRY.register("deletion", _cls.name.lower(), _cls, aliases=(_cls.name,))

@@ -63,7 +63,8 @@ class TrustScoreDeletion(DeletionStrategy):
     """Least trustworthy fact first.
 
     *trust* maps facts to scores in [0, 1]; unknown facts default to
-    *default_trust*.  A dict works as well as a callable.
+    *default_trust*.  A dict works as well as a callable; without one
+    every fact scores *default_trust*.
     """
 
     name = "Trust"
@@ -71,9 +72,11 @@ class TrustScoreDeletion(DeletionStrategy):
 
     def __init__(
         self,
-        trust: TrustProvider | Mapping[Fact, float],
+        trust: TrustProvider | Mapping[Fact, float] | None = None,
         default_trust: float = 0.5,
     ) -> None:
+        if trust is None:
+            trust = {}
         if isinstance(trust, Mapping):
             mapping = dict(trust)
             self._trust: TrustProvider = lambda f: mapping.get(f, default_trust)
@@ -97,13 +100,9 @@ def frequency_trust(database_counts: Mapping[Fact, int], ceiling: int = 5) -> Tr
 
 
 # Registry names: ``QOCOConfig(deletion="responsibility")`` works out of
-# the box; ``"trust"`` builds a provider-less strategy (every unknown
-# fact scores ``default_trust``) — pass an instance to supply scores.
+# the box; ``"trust"`` builds a provider-less strategy (every fact
+# scores ``default_trust``) — pass an instance to supply scores.
 from .registry import REGISTRY as _REGISTRY  # noqa: E402
 
-_REGISTRY.register(
-    "deletion", "responsibility", ResponsibilityDeletion, aliases=("Responsibility",)
-)
-_REGISTRY.register(
-    "deletion", "trust", lambda: TrustScoreDeletion({}), aliases=("Trust",)
-)
+for _cls in (ResponsibilityDeletion, TrustScoreDeletion):
+    _REGISTRY.register("deletion", _cls.name.lower(), _cls, aliases=(_cls.name,))

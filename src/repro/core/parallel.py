@@ -25,7 +25,6 @@ Tasks are cooperative generators yielding question requests:
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
@@ -48,7 +47,7 @@ from .insertion import (
 )
 from .qoco import QOCOConfig, resolve_config, resolve_planner
 from .registry import REGISTRY
-from .report import ParallelReport
+from .report import Report
 from .split import SplitStrategy
 
 Request = tuple
@@ -306,10 +305,9 @@ class ParallelQOCO:
     """Algorithm 3 with the Appendix-B parallel modifications.
 
     Configured by the same :class:`~repro.core.qoco.QOCOConfig` as the
-    sequential loop (third positional argument); the historical
-    per-class keywords (``split_strategy=``, ``insertion_config=``,
-    ``completion_width=``, ...) remain as compat shims that override the
-    corresponding config fields.
+    sequential loop (third positional argument); keyword arguments
+    (``split=``, ``completion_width=``, ...) override the corresponding
+    config fields.
     """
 
     def __init__(
@@ -319,16 +317,6 @@ class ParallelQOCO:
         config: Optional[QOCOConfig] = None,
         **overrides,
     ) -> None:
-        if config is not None and not isinstance(config, QOCOConfig):
-            # the third positional argument used to be split_strategy
-            warnings.warn(
-                "passing split_strategy positionally to ParallelQOCO is "
-                "deprecated; pass a QOCOConfig or split=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides.setdefault("split", config)
-            config = None
         self.database = database
         self.oracle = (
             oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
@@ -349,8 +337,8 @@ class ParallelQOCO:
         self.scheduler_factory = self.config.scheduler_factory or RoundScheduler
         self._engine: Optional[IncrementalAnswers] = None
 
-    def clean(self, query: Query) -> ParallelReport:
-        report = ParallelReport(query_name=query.name, log=self.oracle.log)
+    def clean(self, query: Query) -> Report:
+        report = Report(query_name=query.name, log=self.oracle.log)
         scheduler = self.scheduler_factory(self.oracle)
         verified: set[Answer] = set()
         if self.use_incremental and supports_incremental(query):
@@ -377,7 +365,7 @@ class ParallelQOCO:
     def _clean_loop(
         self,
         query: Query,
-        report: ParallelReport,
+        report: Report,
         scheduler: RoundScheduler,
         verified: set[Answer],
     ) -> None:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
 from ..db.database import Database
 from ..oracle.base import AccountingOracle, Oracle
-from ..oracle.enumeration import CompletionEstimator, ExactCompletion
+from ..oracle.enumeration import Chao92Estimator, CompletionEstimator, ExactCompletion
 from ..query.ast import Query
 from ..query.backend import (
     BackendEvaluator,
@@ -33,11 +32,11 @@ from ..telemetry import TELEMETRY as _TELEMETRY
 from .deletion import DeletionError, DeletionStrategy, crowd_remove_wrong_answer
 from .insertion import InsertionConfig, InsertionError, crowd_add_missing_answer
 from .registry import REGISTRY
-from .session import CleaningReport
+from .report import Report
 from .split import SplitStrategy
 
 
-@dataclass(init=False)
+@dataclass
 class QOCOConfig:
     """Configuration shared by every cleaning loop.
 
@@ -54,11 +53,8 @@ class QOCOConfig:
         QOCOConfig(split="mincut", deletion="responsibility", planner="bandit")
         QOCOConfig(split=MinCutSplit(), deletion=ResponsibilityDeletion())
 
-    Names travel the shard wire and the service API as-is; instances
-    work everywhere in-process.  The pre-redesign spellings
-    (``deletion_strategy=`` / ``split_strategy=`` keywords) are
-    accepted with a :class:`DeprecationWarning`, and the read-only
-    properties of the same names return the resolved instances.
+    Names travel the service API as-is; instances work everywhere
+    in-process and cross the shard wire by their registered name.
     """
 
     #: Strategy for Algorithm 1 (deletion): a registry name
@@ -113,77 +109,12 @@ class QOCOConfig:
     #: selects the synchronous ``RoundScheduler``.  ParallelQOCO only.
     scheduler_factory: Optional[Callable[..., Any]] = None
 
-    def __init__(
-        self,
-        deletion: Union[str, DeletionStrategy] = "qoco",
-        split: Union[str, SplitStrategy] = "provenance",
-        planner: Optional[Union[str, Any]] = None,
-        estimator_factory: Callable[[], CompletionEstimator] = ExactCompletion,
-        insertion: Optional[InsertionConfig] = None,
-        max_iterations: int = 10,
-        max_completions_per_phase: int = 100,
-        minimize_query: bool = False,
-        use_incremental: bool = True,
-        backend: Union[str, EvalBackend] = "naive",
-        seed: Optional[int] = None,
-        completion_width: int = 4,
-        scheduler_factory: Optional[Callable[..., Any]] = None,
-        **legacy: Any,
-    ) -> None:
-        for name, value in legacy.items():
-            target = _LEGACY_CONFIG_ALIASES.get(name)
-            if target is None:
-                raise TypeError(
-                    f"QOCOConfig() got an unexpected keyword argument {name!r}"
-                )
-            warnings.warn(
-                f"QOCOConfig({name}=...) is deprecated; use {target}=... "
-                f"(a registry name or a strategy instance)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if target == "deletion":
-                deletion = value
-            elif target == "split":
-                split = value
-            else:
-                insertion = value
-        self.deletion = deletion
-        self.split = split
-        self.planner = planner
-        self.estimator_factory = estimator_factory
-        self.insertion = insertion if insertion is not None else InsertionConfig()
-        self.max_iterations = max_iterations
-        self.max_completions_per_phase = max_completions_per_phase
-        self.minimize_query = minimize_query
-        self.use_incremental = use_incremental
-        self.backend = backend
-        self.seed = seed
-        self.completion_width = completion_width
-        self.scheduler_factory = scheduler_factory
-
-    # -- pre-redesign read compatibility --------------------------------
-    @property
-    def deletion_strategy(self) -> DeletionStrategy:
-        """The resolved deletion strategy (old field name, read-only)."""
-        return REGISTRY.resolve("deletion", self.deletion)
-
-    @property
-    def split_strategy(self) -> SplitStrategy:
-        """The resolved split strategy (old field name, read-only)."""
-        return REGISTRY.resolve("split", self.split)
-
-
-#: Pre-redesign keyword spellings still accepted (with a warning) by
-#: ``QOCOConfig()`` and every entry point routed through
-#: :func:`resolve_config`.
-_LEGACY_CONFIG_ALIASES = {
-    "deletion_strategy": "deletion",
-    "split_strategy": "split",
-    "insertion_config": "insertion",
-}
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(QOCOConfig))
+
+# Estimator factories by name, so configs cross the shard wire.
+REGISTRY.register("estimator", "exact", ExactCompletion, aliases=("Exact",))
+REGISTRY.register("estimator", "chao92", Chao92Estimator, aliases=("Chao92",))
 
 
 def resolve_config(config: Optional[QOCOConfig], **overrides: Any) -> QOCOConfig:
@@ -193,26 +124,16 @@ def resolve_config(config: Optional[QOCOConfig], **overrides: Any) -> QOCOConfig
     per-call kwargs (``max_iterations=...``, ``seed=...``,
     ``split="mincut"``, ...) become targeted field replacements on the
     shared :class:`QOCOConfig`.  ``None`` overrides are ignored, so
-    plain ``Cleaner(db, oracle, config)`` passes through untouched.
-    Pre-redesign keyword names (``split_strategy=``,
-    ``deletion_strategy=``, ``insertion_config=``) are translated to
-    the canonical fields with a :class:`DeprecationWarning`; unknown
-    keywords raise :class:`TypeError`.
+    plain ``Cleaner(db, oracle, config)`` passes through untouched;
+    unknown keywords raise :class:`TypeError`.
     """
+    if config is not None and not isinstance(config, QOCOConfig):
+        raise TypeError(f"expected a QOCOConfig, got {config!r}")
     resolved = config if config is not None else QOCOConfig()
     actual: dict[str, Any] = {}
     for name, value in overrides.items():
         if value is None:
             continue
-        target = _LEGACY_CONFIG_ALIASES.get(name)
-        if target is not None:
-            warnings.warn(
-                f"the {name}= keyword is deprecated; use {target}=... "
-                f"(a registry name or a strategy instance)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            name = target
         if name not in _CONFIG_FIELDS:
             raise TypeError(f"unknown QOCOConfig override {name!r}")
         actual[name] = value
@@ -282,14 +203,14 @@ class QOCO:
     # ------------------------------------------------------------------
     # Algorithm 3
     # ------------------------------------------------------------------
-    def clean(self, query: Query) -> CleaningReport:
+    def clean(self, query: Query) -> Report:
         """Clean ``D`` w.r.t. *query* until ``Q(D) = Q(D_G)`` (with a
         perfect oracle) or the iteration bound is hit."""
         if self.config.minimize_query:
             from ..query.minimize import minimize
 
             query = minimize(query)
-        report = CleaningReport(query_name=query.name, log=self.oracle.log)
+        report = Report(query_name=query.name, log=self.oracle.log)
         verified: set[Answer] = set()
 
         if self.config.use_incremental and supports_incremental(query):
@@ -356,7 +277,7 @@ class QOCO:
         return None
 
     def _deletion_phase(
-        self, query: Query, verified: set[Answer], report: CleaningReport
+        self, query: Query, verified: set[Answer], report: Report
     ) -> None:
         """Algorithm 3, lines 2-6.
 
@@ -389,7 +310,7 @@ class QOCO:
             report.wrong_answers_removed.append(answer)
 
     def _insertion_phase(
-        self, query: Query, verified: set[Answer], report: CleaningReport
+        self, query: Query, verified: set[Answer], report: Report
     ) -> None:
         """Algorithm 3, lines 7-9."""
         estimator = self.config.estimator_factory()

@@ -1,16 +1,14 @@
 """One registry for every pluggable strategy, resolvable by name.
 
-Historically each strategy family kept its own ad-hoc dict
-(``SPLIT_STRATEGIES``, ``DELETION_STRATEGIES``, the estimator table in
-``repro.shard.wire``) and every entry point grew its own keyword for
-passing instances around.  :class:`StrategyRegistry` unifies them: a
-strategy *kind* (``"split"``, ``"deletion"``, ``"planner"``) maps names
-to factories, and :meth:`resolve` turns whatever the user supplied — a
-registry name (any case), a strategy class, an already-built instance,
-or ``None`` — into the instance the cleaning loops run.
+A strategy *kind* (``"split"``, ``"deletion"``, ``"planner"``,
+``"estimator"``, ``"repair"``) maps names to factories.  :meth:`resolve`
+turns whatever the user supplied — a registry name (any case), a
+strategy class, an already-built instance, or ``None`` — into the
+instance the cleaning loops run, and :meth:`name_of` maps an instance
+back to its name for the shard wire.
 
-Names resolve case-insensitively, so the historical capitalised wire
-names (``"MinCut"``, ``"QOCO-"``) and the lowercase config spellings
+Names resolve case-insensitively, so the capitalised display names
+(``"MinCut"``, ``"QOCO-"``) and the lowercase config spellings
 (``QOCOConfig(split="mincut")``) land on the same entry.
 
 Strategy modules register themselves at import time; kinds whose
@@ -93,6 +91,23 @@ class StrategyRegistry:
             return spec()
         return spec
 
+    def name_of(self, kind: str, value: Any) -> str:
+        """The canonical name whose factory is *value* or built it.
+
+        *value* is an instance (matched by exact type against class
+        factories) or a factory itself.  Raises :class:`RegistryError`
+        when nothing registered under *kind* matches.
+        """
+        self._ensure_kind(kind)
+        with self._lock:
+            for key, factory in self._entries.get(kind, {}).items():
+                if factory is value or type(value) is factory:
+                    return self._display[kind][key]
+        raise RegistryError(
+            f"{kind} {value!r} has no registered name; registered names: "
+            f"{self.names(kind)}"
+        )
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -125,6 +140,7 @@ _KIND_MODULES: dict[str, tuple[str, ...]] = {
     "split": ("repro.core.split",),
     "deletion": ("repro.core.deletion", "repro.core.heuristics"),
     "planner": ("repro.plan.planner",),
+    "estimator": ("repro.core.qoco",),
     "repair": ("repro.constraints.repairer",),
 }
 

@@ -7,8 +7,7 @@ Every cleaning entry point — :class:`~repro.core.qoco.QOCO`,
 sessions — returns one :class:`Report` type with a consistent surface:
 ``summary()``, ``rounds``, ``wall_clock``, and ``total_cost`` are always
 present (zero-valued where the run has no round structure or simulated
-clock).  ``CleaningReport`` and ``ParallelReport`` remain as thin
-aliases for source compatibility.
+clock).
 """
 
 from __future__ import annotations
@@ -82,9 +81,3 @@ class Report:
         if not self.converged:
             text += " [did not converge]"
         return text
-
-
-#: Source-compatible aliases: the sequential and parallel loops used to
-#: return distinct report classes; both are the unified :class:`Report`.
-CleaningReport = Report
-ParallelReport = Report

@@ -117,17 +117,9 @@ class ProvenanceSplit(SplitStrategy):
         return [first, second]
 
 
-#: Registry used by the experiment harness and the wire codec.
-SPLIT_STRATEGIES: dict[str, type[SplitStrategy]] = {
-    "Naive": NaiveSplit,
-    "Random": RandomSplit,
-    "MinCut": MinCutSplit,
-    "Provenance": ProvenanceSplit,
-}
-
 # String-name resolution (QOCOConfig(split="mincut"), wire configs, the
 # planner's arm table) goes through the unified strategy registry.
 from .registry import REGISTRY as _REGISTRY  # noqa: E402
 
-for _name, _cls in SPLIT_STRATEGIES.items():
-    _REGISTRY.register("split", _name.lower(), _cls, aliases=(_name,))
+for _cls in (NaiveSplit, RandomSplit, MinCutSplit, ProvenanceSplit):
+    _REGISTRY.register("split", _cls.name.lower(), _cls, aliases=(_cls.name,))

@@ -19,7 +19,6 @@ The CQ algorithms lift to UCQs almost verbatim:
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Optional
 
 from ..db.database import Database
@@ -37,7 +36,7 @@ from .deletion import (
 from .insertion import InsertionConfig, InsertionError, crowd_add_missing_answer
 from .qoco import QOCOConfig, resolve_config, resolve_planner
 from .registry import REGISTRY
-from .report import CleaningReport
+from .report import Report
 from .split import SplitStrategy
 
 
@@ -135,8 +134,8 @@ class UCQCleaner:
     """Algorithm 3 over a union of conjunctive queries.
 
     Takes the same :class:`~repro.core.qoco.QOCOConfig` as the CQ loops
-    (third positional argument); the historical per-class keywords stay
-    as compat shims that override the corresponding config fields.
+    (third positional argument); keyword arguments override the
+    corresponding config fields.
     """
 
     def __init__(
@@ -146,16 +145,6 @@ class UCQCleaner:
         config: Optional[QOCOConfig] = None,
         **overrides,
     ) -> None:
-        if config is not None and not isinstance(config, QOCOConfig):
-            # the third positional argument used to be deletion_strategy
-            warnings.warn(
-                "passing deletion_strategy positionally to the UCQ cleaner "
-                "is deprecated; pass a QOCOConfig or deletion=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides.setdefault("deletion", config)
-            config = None
         self.database = database
         self.oracle = (
             oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
@@ -172,8 +161,8 @@ class UCQCleaner:
         self.max_iterations = self.config.max_iterations
         self.rng = random.Random(self.config.seed)
 
-    def clean(self, union: UnionQuery) -> CleaningReport:
-        report = CleaningReport(query_name=union.name, log=self.oracle.log)
+    def clean(self, union: UnionQuery) -> Report:
+        report = Report(query_name=union.name, log=self.oracle.log)
         verified: set[Answer] = set()
         first = True
         while first or (union.answers(self.database) - verified):
@@ -191,7 +180,7 @@ class UCQCleaner:
 
     # -- phases ------------------------------------------------------------
     def _deletion_phase(
-        self, union: UnionQuery, verified: set[Answer], report: CleaningReport
+        self, union: UnionQuery, verified: set[Answer], report: Report
     ) -> None:
         for answer in sorted(union.answers(self.database) - verified, key=repr):
             if answer not in union.answers(self.database):
@@ -211,7 +200,7 @@ class UCQCleaner:
             report.wrong_answers_removed.append(answer)
 
     def _insertion_phase(
-        self, union: UnionQuery, verified: set[Answer], report: CleaningReport
+        self, union: UnionQuery, verified: set[Answer], report: Report
     ) -> None:
         estimator = self.estimator_factory()
         probes = 0
@@ -279,16 +268,3 @@ class UCQCleaner:
             if missing is not None:
                 return missing
         return None
-
-
-class UnionQOCO(UCQCleaner):
-    """Deprecated name for :class:`UCQCleaner`."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "UnionQOCO has been renamed to UCQCleaner; the old name will "
-            "be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

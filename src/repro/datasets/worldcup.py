@@ -452,29 +452,27 @@ def _offset_date(date: str, delta_days: int) -> str:
 def worldcup_constraints():
     """Keys and foreign keys the Soccer ground truth satisfies.
 
-    Used by the §9 constraint-cleaning extension: the generated data has
+    Used by the §9 constraint-repair extension: the generated data has
     one game per date, one continent per team, unique player names, and
     referential integrity from games/goals/players/clubs into their
-    parent relations.
+    parent relations.  Keys are FDs onto every other attribute.
     """
-    from ..db.constraints import ConstraintSet, ForeignKey, Key
+    from ..constraints.ast import FD, ForeignKey
 
-    return ConstraintSet(
-        keys=[
-            Key("games", (0,)),     # date identifies the game
-            Key("teams", (0,)),     # one continent per team
-            Key("players", (0,)),   # unique player names
-        ],
-        foreign_keys=[
-            ForeignKey("games", (1,), "teams", (0,)),    # winner is a team
-            ForeignKey("games", (2,), "teams", (0,)),    # runner-up is a team
-            ForeignKey("games", (3,), "stages", (0,)),   # stage classified
-            ForeignKey("players", (1,), "teams", (0,)),  # player's team exists
-            ForeignKey("goals", (0,), "players", (0,)),  # scorer is a player
-            ForeignKey("goals", (1,), "games", (0,)),    # goal in a real game
-            ForeignKey("clubs", (0,), "players", (0,)),  # club member exists
-        ],
-    )
+    return [
+        # date identifies the game
+        FD("games", ("date",), ("winner", "runner_up", "stage", "result")),
+        FD("teams", ("team",), ("continent",)),  # one continent per team
+        # unique player names
+        FD("players", ("name",), ("team", "birth_year", "birth_place")),
+        ForeignKey("games", ("winner",), "teams", ("team",)),
+        ForeignKey("games", ("runner_up",), "teams", ("team",)),
+        ForeignKey("games", ("stage",), "stages", ("stage",)),
+        ForeignKey("players", ("team",), "teams", ("team",)),
+        ForeignKey("goals", ("player",), "players", ("name",)),
+        ForeignKey("goals", ("date",), "games", ("date",)),
+        ForeignKey("clubs", ("player",), "players", ("name",)),
+    ]
 
 
 def worldcup_database(config: WorldCupConfig | None = None) -> Database:

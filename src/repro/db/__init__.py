@@ -1,6 +1,5 @@
-"""Relational substrate: schemas, facts, databases, edits, constraints, IO."""
+"""Relational substrate: schemas, facts, databases, edits, IO."""
 
-from .constraints import ConstraintSet, ForeignKey, Key
 from .database import ANY, Database
 from .edits import Edit, EditKind, apply_edits, delete, insert
 from .fork import DatabaseFork, ForkError
@@ -11,15 +10,12 @@ from .tuples import Constant, Fact, fact, facts
 __all__ = [
     "ANY",
     "Constant",
-    "ConstraintSet",
     "Database",
     "DatabaseFork",
     "Edit",
     "EditKind",
     "Fact",
     "ForkError",
-    "ForeignKey",
-    "Key",
     "RelationSchema",
     "Schema",
     "SchemaError",

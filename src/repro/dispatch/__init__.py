@@ -10,7 +10,7 @@ questions, and deadline/cost budgets with graceful degradation.  See
 ``docs/dispatch.md``.
 """
 
-from .dedup import AnswerBoard, DedupIndex, question_key
+from .dedup import AnswerBoard, question_key
 from .engine import (
     DispatchEngine,
     DispatchRoundScheduler,
@@ -23,7 +23,6 @@ from .workers import Worker, WorkerPool, perfect_pool
 __all__ = [
     "AnswerBoard",
     "Budget",
-    "DedupIndex",
     "DispatchEngine",
     "DispatchRoundScheduler",
     "DispatchStats",

@@ -51,32 +51,10 @@ def question_key(request: tuple) -> Optional[Hashable]:
     return ("verify_candidate", request[1], frozenset(request[2].items()))
 
 
-class DedupIndex:
-    """In-flight closed questions of the current dispatch window."""
-
-    def __init__(self) -> None:
-        self._inflight: dict[Hashable, object] = {}
-        self.coalesced = 0
-
-    def lookup(self, key: Hashable):
-        return self._inflight.get(key)
-
-    def publish(self, key: Hashable, outcome) -> None:
-        self._inflight[key] = outcome
-
-    def subscribe(self, key: Hashable):
-        """Record one coalesced duplicate and return the shared outcome."""
-        self.coalesced += 1
-        return self._inflight[key]
-
-    def clear(self) -> None:
-        self._inflight.clear()
-
-
 class AnswerBoard:
     """Completed closed answers shared *across* cleaning sessions.
 
-    The :class:`DedupIndex` coalesces duplicates inside one round of one
+    The dispatch engine coalesces duplicates inside one round of one
     session; the board extends the same structural identity across
     sessions running concurrently against a shared crowd.  Tenants whose
     views overlap ask many of the same closed questions — once any
@@ -126,7 +104,7 @@ class AnswerBoard:
         class, or ``None`` (disabled boards always miss)."""
         if not self.similarity or key is None:
             return None
-        ckey = _similarity_key(key)
+        ckey = similarity_class(key)
         if ckey is None:
             return None
         with self._lock:
@@ -144,7 +122,7 @@ class AnswerBoard:
                 self._answers[key] = value
                 self.publishes += 1
                 if self.similarity:
-                    ckey = _similarity_key(key)
+                    ckey = similarity_class(key)
                     if ckey is not None and ckey not in self._canonical:
                         self._canonical[ckey] = value
 
@@ -170,7 +148,7 @@ class AnswerBoard:
         return items[start:]
 
 
-def _similarity_key(key: Hashable) -> Optional[Hashable]:
+def similarity_class(key: Hashable) -> Optional[Hashable]:
     """The canonical similarity class of *key* (lazy import keeps this
     module free of query-layer dependencies unless similarity is on)."""
     from ..plan.similarity import similarity_key
@@ -178,4 +156,4 @@ def _similarity_key(key: Hashable) -> Optional[Hashable]:
     return similarity_key(key)  # type: ignore[arg-type]
 
 
-__all__ = ["AnswerBoard", "DedupIndex", "question_key", "QuestionKind"]
+__all__ = ["AnswerBoard", "question_key", "QuestionKind", "similarity_class"]

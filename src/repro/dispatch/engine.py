@@ -52,7 +52,7 @@ from ..oracle.base import (
 from ..oracle.questions import QuestionKind
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .dedup import AnswerBoard, question_key
-from .policy import Budget, FaultKind, FaultModel, RetryPolicy
+from .policy import FALLBACKS, Budget, FaultKind, FaultModel, RetryPolicy, majority
 from .workers import WorkerPool
 
 
@@ -100,7 +100,6 @@ class _Spec:
     probe: Callable[[], Optional[Any]]        # accounting-cache lookup
     commit: Callable[[Any], None]             # deferred cache write
     cost: Callable[[Any], int]                # §7 units of the reply
-    fallback: Callable[[], Any]               # degraded answer
 
 
 class DispatchEngine:
@@ -262,7 +261,7 @@ class DispatchEngine:
             self.stats.fallbacks += 1
             self.degraded = True
             self._count("dispatch.budget_denied")
-            return spec.fallback()
+            return FALLBACKS[spec.qkind.value]
         value, answered = self._dispatch(spec)
         if answered:
             commits.append((spec, value))
@@ -295,12 +294,12 @@ class DispatchEngine:
             self.stats.fallbacks += 1
             self.degraded = True
             self._count("dispatch.unanswered")
-            return spec.fallback(), False
+            return FALLBACKS[spec.qkind.value], False
         if spec.closed:
             if len(collected) < votes:
                 self.stats.partial_votes += 1
                 self._count("dispatch.partial_votes")
-            value: Any = sum(1 for v in collected if v) * 2 > len(collected)
+            value: Any = majority(collected)
         else:
             value = collected[0]
         cost = spec.cost(value)
@@ -393,8 +392,6 @@ class DispatchEngine:
                 probe=lambda: oracle.known_fact_value(fact),
                 commit=lambda v: oracle.remember_fact(fact, v),
                 cost=lambda v: 1,
-                # "the fact is fine": never deletes on a guess
-                fallback=lambda: True,
             )
         if kind == "verify_answer":
             _, query, answer = request
@@ -404,9 +401,6 @@ class DispatchEngine:
                 probe=lambda: oracle.cached_answer(query, answer),
                 commit=lambda v: oracle.remember_answer(query, answer, v),
                 cost=lambda v: 1,
-                # "leave the answer alone" (the degraded report is
-                # already flagged converged=False)
-                fallback=lambda: True,
             )
         if kind == "verify_candidate":
             _, query, partial = request
@@ -416,7 +410,6 @@ class DispatchEngine:
                 probe=lambda: None,
                 commit=lambda v: None,
                 cost=lambda v: 1,
-                fallback=lambda: False,  # never inserts on a guess
             )
         if kind == "complete":
             _, query, partial = request
@@ -426,7 +419,6 @@ class DispatchEngine:
                 probe=lambda: None,
                 commit=lambda v: None,
                 cost=lambda v: open_question_cost(query, partial, v),
-                fallback=lambda: None,
             )
         if kind == "complete_result":
             _, query, known = request
@@ -436,7 +428,6 @@ class DispatchEngine:
                 probe=lambda: None,
                 commit=lambda v: None,
                 cost=lambda v: result_question_cost(query, v),
-                fallback=lambda: None,
             )
         raise ValueError(f"unknown request {request!r}")
 

@@ -14,7 +14,9 @@ policies make those dimensions explicit knobs of the dispatch engine:
 * :class:`Budget` — a cost ceiling in the paper's §7 question units
   and/or a simulated wall-clock deadline.  Exhaustion never raises mid
   round: the engine degrades gracefully (cached knowledge + conservative
-  defaults) and the cleaning report flags ``converged=False``.
+  defaults) and the cleaning report flags ``converged=False``;
+* :data:`FALLBACKS` and :func:`majority` — the crowd-policy table both
+  the simulated engine and the service broker resolve questions by.
 
 Cost-bounded degradation echoes the budgeted-repair line of work
 (Livshits/Kimelfeld/Roy, *Computing Optimal Repairs for Functional
@@ -27,7 +29,28 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Iterable, Optional
+
+#: Conservative resolutions, by question kind, for a question the crowd
+#: never answers (or a budget denies): bias the cleaner toward "leave
+#: the data alone" — never delete or insert on a guess.
+FALLBACKS: dict[str, Any] = {
+    "verify_fact": True,
+    "verify_answer": True,
+    "verify_candidate": False,
+    "complete_assignment": None,
+    "complete_result": None,
+}
+
+
+def majority(votes: Iterable[Any]) -> bool:
+    """A closed question's verdict: strictly more yes than no votes.
+
+    A split vote resolves to ``False``, as in the paper's
+    :class:`~repro.oracle.aggregator.MajorityVote`.
+    """
+    votes = list(votes)
+    return sum(1 for v in votes if v) * 2 > len(votes)
 
 
 class FaultKind(enum.Enum):

@@ -22,13 +22,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..core.deletion import (
-    DELETION_STRATEGIES,
-    DeletionStrategy,
-    crowd_remove_wrong_answer,
-)
+from ..core.deletion import DeletionStrategy, crowd_remove_wrong_answer
 from ..core.insertion import InsertionConfig, crowd_add_missing_answer
-from ..core.split import SPLIT_STRATEGIES, SplitStrategy
+from ..core.registry import REGISTRY
+from ..core.split import SplitStrategy
 from ..db.database import Database
 from ..datasets.noise import ResultErrors, inject_result_errors
 from ..oracle.base import AccountingOracle, Oracle
@@ -73,11 +70,11 @@ BAR_HEADERS = ("group", "algorithm", "lower", "questions", "avoided", "total")
 
 
 def make_strategy(name: str) -> DeletionStrategy:
-    return DELETION_STRATEGIES[name]()
+    return REGISTRY.resolve("deletion", name)
 
 
 def make_split(name: str) -> SplitStrategy:
-    return SPLIT_STRATEGIES[name]()
+    return REGISTRY.resolve("split", name)
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,7 @@ class SessionManager:
 
         *constraints* is anything
         :func:`repro.constraints.ast.as_constraints` accepts (FD
-        strings, :class:`~repro.constraints.ast.FD` /
+        strings, :class:`~repro.constraints.ast.FD` / ``ForeignKey`` /
         ``DenialConstraint`` objects, or an iterable).  The session goes
         through the same admission, fork/commit, WAL, and ledger paths
         as a cleaning session — a committed repair is durable and

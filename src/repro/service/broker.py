@@ -11,16 +11,18 @@ the dispatch layer's machinery against real wall-clock workers:
   identical closed questions *in flight*: a second session asking the
   same question before the first resolves subscribes to the same vote
   instead of paying again (the cross-session analogue of the engine's
-  :class:`~repro.dispatch.dedup.DedupIndex`);
+  per-round coalescing);
 * :class:`~repro.dispatch.policy.RetryPolicy` governs leases: an
   assignment unanswered after ``timeout`` seconds is expired, the
   worker is marked failed on that question, the question backs off
   ``delay(k)`` seconds and is re-leased — preferring workers that have
   not yet failed it (``reroute``).  When the retry budget is spent the
   question resolves to the same conservative fallback the dispatch
-  engine uses, so a dead crowd degrades cleaning instead of hanging it;
+  engine uses (:data:`~repro.dispatch.policy.FALLBACKS`), so a dead
+  crowd degrades cleaning instead of hanging it;
 * closed questions take ``votes_per_closed`` answers from distinct
-  workers and resolve by majority, mirroring the engine's vote sampling.
+  workers and resolve by the engine's strict-majority rule
+  (:func:`~repro.dispatch.policy.majority`: a split vote is ``False``).
 
 Answer submission is **idempotent under at-least-once delivery**: one
 ``(question, worker)`` pair is counted once; replays and answers landing
@@ -48,34 +50,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from ..db.tuples import Constant, Fact
-from ..dispatch.dedup import question_key
-from ..dispatch.policy import RetryPolicy
+from ..dispatch.dedup import question_key, similarity_class
+from ..dispatch.policy import FALLBACKS, RetryPolicy, majority
 from ..oracle.base import Oracle
 from ..query.ast import Query, Var
 from ..query.evaluator import Answer, Assignment
 from ..shard import wire
 from ..telemetry import TELEMETRY as _TELEMETRY
 
-#: Conservative resolutions when the retry budget is spent — identical
-#: to the dispatch engine's degraded-mode defaults, so a question the
-#: crowd never answers biases the cleaner toward "leave the data alone".
-FALLBACKS: dict[str, Any] = {
-    "verify_fact": True,
-    "verify_answer": True,
-    "verify_candidate": False,
-    "complete_assignment": None,
-    "complete_result": None,
-}
-
 _CLOSED_KINDS = frozenset({"verify_fact", "verify_answer", "verify_candidate"})
-
-
-def _similarity_class(key: Hashable) -> Optional[Hashable]:
-    """The canonical similarity class of a question key (lazy import —
-    only similarity-enabled brokers pay for the plan package)."""
-    from ..plan.similarity import similarity_key
-
-    return similarity_key(key)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -220,7 +203,7 @@ class QuestionBroker:
                         _TELEMETRY.count("service.broker.coalesced")
                     return twin
                 if self.similarity:
-                    ckey = _similarity_class(key)
+                    ckey = similarity_class(key)
                     if ckey is not None:
                         twin = self._by_ckey.get(ckey)
                         if twin is not None and not twin.gave_up and not twin.done:
@@ -418,10 +401,7 @@ class QuestionBroker:
         """Majority verdict for closed questions; first vote for open."""
         if question.kind not in _CLOSED_KINDS:
             return question.votes[0][1]
-        counts: dict[Any, int] = {}
-        for _worker, value in question.votes:
-            counts[value] = counts.get(value, 0) + 1
-        return max(counts.items(), key=lambda item: (item[1], item[0] is True))[0]
+        return majority(value for _worker, value in question.votes)
 
     def _resolve_locked(self, question: _Question, value: Any, gave_up: bool = False) -> None:
         if question.done:

@@ -9,9 +9,12 @@ travel.
 
 * :func:`config_to_obj` / :func:`config_from_obj` map a
   :class:`~repro.core.qoco.QOCOConfig` onto registry *names*
-  (``DELETION_STRATEGIES`` / ``SPLIT_STRATEGIES`` / the estimator
-  registry / backend names); configs carrying live objects that have no
-  registered name are rejected up front rather than mis-pickled.
+  (:meth:`~repro.core.registry.StrategyRegistry.name_of` for strategy
+  and estimator instances, backend names); configs carrying live
+  objects that have no registered name are rejected up front rather
+  than mis-pickled.  A strategy instance crosses as its name, so the
+  worker rebuilds it with default arguments: per-instance state, such
+  as a trust provider, stays in the parent.
 * :func:`question_to_obj` / :func:`question_from_obj` and
   :func:`reply_to_obj` / :func:`reply_from_obj` encode the five oracle
   question kinds and their answers for the parent-side router.
@@ -19,46 +22,28 @@ travel.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
-from ..core.deletion import DELETION_STRATEGIES
 from ..core.insertion import InsertionConfig
 from ..core.qoco import QOCOConfig
 from ..core.registry import REGISTRY, RegistryError
-from ..core.split import SPLIT_STRATEGIES
 from ..durability import codec
 from ..durability.codec import CodecError
-from ..oracle.enumeration import Chao92Estimator, CompletionEstimator, ExactCompletion
 from .partition import ShardingError
 
-#: Estimator factories by wire name (the analogue of the strategy
-#: registries for the enumeration black-box).
-ESTIMATOR_FACTORIES: dict[str, Callable[[], CompletionEstimator]] = {
-    "Exact": ExactCompletion,
-    "Chao92": Chao92Estimator,
-}
 
-
-def _registry_name(registry: Mapping[str, type], value: Any, what: str) -> str:
-    for name, cls in registry.items():
-        if type(value) is cls:
-            return name
-    raise ShardingError(
-        f"{what} {value!r} has no registered wire name; sharded cleaning "
-        f"needs one of {sorted(registry)}"
-    )
-
-
-def _strategy_name(kind: str, registry: Mapping[str, type], spec: Any, what: str) -> str:
-    """The wire name of a strategy field: strings validate against the
-    unified registry, instances reverse-map through the legacy table."""
-    if isinstance(spec, str):
-        try:
+def _wire_name(kind: str, spec: Any) -> str:
+    """The wire name of a strategy or estimator field: strings validate
+    against the registry, instances and factories map back by type."""
+    try:
+        if isinstance(spec, str):
             REGISTRY.resolve(kind, spec)
-        except RegistryError as error:
-            raise ShardingError(str(error)) from error
-        return spec
-    return _registry_name(registry, spec, what)
+            return spec
+        return REGISTRY.name_of(kind, spec)
+    except RegistryError as error:
+        raise ShardingError(
+            f"{error}; sharded cleaning needs a registered name"
+        ) from error
 
 
 def _planner_name(spec: Any) -> Any:
@@ -92,25 +77,11 @@ def config_to_obj(config: QOCOConfig) -> dict:
             f"backend must be a registered name to cross the process "
             f"boundary, got instance {config.backend!r}"
         )
-    estimator_name = None
-    for name, factory in ESTIMATOR_FACTORIES.items():
-        if config.estimator_factory is factory:
-            estimator_name = name
-            break
-    if estimator_name is None:
-        raise ShardingError(
-            f"estimator_factory {config.estimator_factory!r} has no "
-            f"registered wire name; use one of {sorted(ESTIMATOR_FACTORIES)}"
-        )
     return {
-        "deletion_strategy": _strategy_name(
-            "deletion", DELETION_STRATEGIES, config.deletion, "deletion strategy"
-        ),
-        "split_strategy": _strategy_name(
-            "split", SPLIT_STRATEGIES, config.split, "split strategy"
-        ),
+        "deletion_strategy": _wire_name("deletion", config.deletion),
+        "split_strategy": _wire_name("split", config.split),
         "planner": _planner_name(config.planner),
-        "estimator": estimator_name,
+        "estimator": _wire_name("estimator", config.estimator_factory),
         "insertion": {
             "max_candidates_per_subquery": config.insertion.max_candidates_per_subquery,
             "max_subqueries": config.insertion.max_subqueries,
@@ -131,7 +102,7 @@ def config_from_obj(obj: dict) -> QOCOConfig:
             deletion=REGISTRY.resolve("deletion", obj["deletion_strategy"]),
             split=REGISTRY.resolve("split", obj["split_strategy"]),
             planner=obj.get("planner"),
-            estimator_factory=ESTIMATOR_FACTORIES[obj["estimator"]],
+            estimator_factory=type(REGISTRY.resolve("estimator", obj["estimator"])),
             insertion=InsertionConfig(
                 max_candidates_per_subquery=obj["insertion"][
                     "max_candidates_per_subquery"

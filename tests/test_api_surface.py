@@ -1,4 +1,4 @@
-"""The public API surface: snapshot, deprecation shims, facade parity.
+"""The public API surface: snapshot, removed shims, facade parity.
 
 The snapshot lists are the contract: changing ``repro.api.__all__`` or
 ``repro.__all__`` without updating them here is a CI failure
@@ -46,7 +46,6 @@ PACKAGE_SURFACE = [
     "CapacityScheduler",
     "Chao92Estimator",
     "CostModel",
-    "CleaningReport",
     "CleaningSession",
     "Crowd",
     "Database",
@@ -58,6 +57,7 @@ PACKAGE_SURFACE = [
     "ExactCompletion",
     "FD",
     "Fact",
+    "ForeignKey",
     "ForkError",
     "ImperfectOracle",
     "InMemorySink",
@@ -144,15 +144,26 @@ class TestSurfaceSnapshot:
 
 
 class TestDeprecationShims:
-    def test_union_qoco_name_warns_and_works(self, fig1_dirty, fig1_gt):
-        with pytest.warns(DeprecationWarning, match="UCQCleaner"):
-            cls = repro.UnionQOCO
-        assert issubclass(cls, UCQCleaner)
+    """The pre-redesign names and keywords are gone, not silently kept.
+
+    The test names predate the removal of the shims and are kept stable;
+    each now checks that its shim stays removed and that the one
+    remaining spelling still works.
+    """
+
+    def test_union_qoco_name_warns_and_works(self, fig1_dirty, fig1_oracle):
+        import repro.core
+
+        assert not hasattr(repro, "UnionQOCO")
+        assert not hasattr(repro.core, "UnionQOCO")
+        assert repro.UCQCleaner is UCQCleaner
 
     def test_parallel_report_name_warns_and_aliases(self):
-        with pytest.warns(DeprecationWarning, match="Report"):
-            alias = repro.ParallelReport
-        assert alias is Report
+        import repro.core.parallel
+
+        assert not hasattr(repro, "ParallelReport")
+        assert not hasattr(repro.core.parallel, "ParallelReport")
+        assert repro.Report is Report
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -161,23 +172,28 @@ class TestDeprecationShims:
     def test_positional_split_strategy_warns(self, fig1_dirty, fig1_oracle):
         from repro.core.split import NaiveSplit
 
-        with pytest.warns(DeprecationWarning, match="split_strategy"):
-            qoco = ParallelQOCO(fig1_dirty, fig1_oracle, NaiveSplit())
+        with pytest.raises(TypeError, match="QOCOConfig"):
+            ParallelQOCO(fig1_dirty, fig1_oracle, NaiveSplit())
+        qoco = ParallelQOCO(fig1_dirty, fig1_oracle, QOCOConfig(split=NaiveSplit()))
         assert isinstance(qoco.split_strategy, NaiveSplit)
 
     def test_positional_deletion_strategy_warns(self, fig1_dirty, fig1_oracle):
         from repro.core.deletion import RandomDeletion
 
-        with pytest.warns(DeprecationWarning, match="deletion_strategy"):
-            cleaner = UCQCleaner(fig1_dirty, fig1_oracle, RandomDeletion())
+        with pytest.raises(TypeError, match="QOCOConfig"):
+            UCQCleaner(fig1_dirty, fig1_oracle, RandomDeletion())
+        cleaner = UCQCleaner(fig1_dirty, fig1_oracle, deletion=RandomDeletion())
         assert isinstance(cleaner.deletion_strategy, RandomDeletion)
 
     def test_old_report_names_are_thin_aliases(self):
-        from repro.core.parallel import ParallelReport
-        from repro.core.session import CleaningReport
+        import repro.core
+        import repro.core.parallel
 
-        assert CleaningReport is Report
-        assert ParallelReport is Report
+        with pytest.raises(ImportError):
+            import repro.core.session  # noqa: F401
+        assert not hasattr(repro, "CleaningReport")
+        assert not hasattr(repro.core, "CleaningReport")
+        assert not hasattr(repro.core.parallel, "ParallelReport")
 
 
 class TestUnifiedConfig:
@@ -247,8 +263,8 @@ class TestStrategyRegistry:
 
         with pytest.raises(RegistryError, match="mincut"):
             REGISTRY.resolve("split", "does-not-exist")
-        with pytest.raises(RegistryError):
-            QOCOConfig(split="does-not-exist").split_strategy
+        with pytest.raises(RegistryError, match="mincut"):
+            REGISTRY.name_of("split", object())
 
     def test_registry_enumerates_kinds_and_names(self):
         from repro.core import REGISTRY
@@ -257,16 +273,25 @@ class TestStrategyRegistry:
         assert "provenance" in REGISTRY.names("split")
         assert "responsibility" in REGISTRY.names("deletion")
         assert "bandit" in REGISTRY.names("planner")
+        assert REGISTRY.names("estimator") == ["chao92", "exact"]
 
-    def test_legacy_config_kwargs_warn_and_map(self):
-        from repro.core.split import NaiveSplit
+    def test_name_of_inverts_resolve(self):
+        from repro.core import REGISTRY
+        from repro.oracle.enumeration import Chao92Estimator
 
-        with pytest.warns(DeprecationWarning, match="split_strategy"):
-            config = QOCOConfig(split_strategy=NaiveSplit())
-        assert isinstance(config.split_strategy, NaiveSplit)
-        with pytest.warns(DeprecationWarning, match="deletion_strategy"):
-            config = QOCOConfig(deletion_strategy="random")
-        assert config.deletion == "random"
+        for kind in ("split", "deletion"):
+            for name in REGISTRY.names(kind):
+                assert REGISTRY.name_of(kind, REGISTRY.resolve(kind, name)) == name
+        assert REGISTRY.name_of("estimator", Chao92Estimator) == "chao92"
+
+    def test_legacy_config_kwargs_warn_and_map(self, fig1_dirty, fig1_oracle):
+        # The legacy keywords are gone: they raise instead of mapping.
+        for legacy in ("split_strategy", "deletion_strategy", "insertion_config"):
+            with pytest.raises(TypeError):
+                QOCOConfig(**{legacy: None})
+            with pytest.raises(TypeError):
+                QOCO(fig1_dirty, fig1_oracle, **{legacy: "random"})
+        assert QOCOConfig(deletion="random").deletion == "random"
 
     def test_unknown_config_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

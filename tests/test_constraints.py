@@ -1,17 +1,29 @@
-"""Tests for key/FK constraints and constraint-driven cleaning (§9)."""
+"""Tests for key/FK constraints and constraint-driven repair (§9).
 
-import random
+Keys are FDs onto every other attribute; foreign keys compile to
+``child(…), not parent(…)``.  Both run through the one constraint
+language in :mod:`repro.constraints`.
+"""
 
 import pytest
 
-from repro.core.constraints import ConstraintCleaner
-from repro.db.constraints import ConstraintSet, ForeignKey, Key
-from repro.db.schema import Schema, SchemaError
+from repro.constraints import (
+    FD,
+    ConstraintError,
+    ForeignKey,
+    OracleRepairer,
+    RepairBudget,
+    find_violations,
+    satisfies,
+)
+from repro.db.schema import Schema
 from repro.db.tuples import fact
 from repro.db.database import Database
 from repro.datasets.worldcup import worldcup_constraints
 from repro.oracle.base import AccountingOracle
 from repro.oracle.perfect import PerfectOracle
+from repro.query.ast import Atom, Var
+from repro.query.backend import available_backends
 
 
 @pytest.fixture
@@ -23,31 +35,32 @@ def schema():
 
 @pytest.fixture
 def constraints():
-    return ConstraintSet(
-        keys=[Key("teams", (0,))],
-        foreign_keys=[ForeignKey("games", (1,), "teams", (0,))],
-    )
+    return [
+        FD("teams", ("team",), ("continent",)),
+        ForeignKey("games", ("winner",), "teams", ("team",)),
+    ]
 
 
 class TestDeclarations:
     def test_key_requires_positions(self):
-        with pytest.raises(SchemaError):
-            Key("r", ())
-        with pytest.raises(SchemaError):
-            Key("r", (0, 0))
+        with pytest.raises(ConstraintError):
+            FD("r", (), ("b",))
+        with pytest.raises(ConstraintError):
+            FD("r", ("a",), ("a",))
 
     def test_fk_lengths_must_match(self):
-        with pytest.raises(SchemaError):
-            ForeignKey("a", (0, 1), "b", (0,))
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConstraintError):
+            ForeignKey("a", ("x", "y"), "b", ("x",))
+        with pytest.raises(ConstraintError):
             ForeignKey("a", (), "b", ())
 
     def test_validate_against_schema(self, schema, constraints):
         db = Database(schema)
-        constraints.validate_against(db)  # fine
-        bad = ConstraintSet(keys=[Key("teams", (5,))])
-        with pytest.raises(SchemaError):
-            bad.validate_against(db)
+        assert find_violations(db, constraints) == []  # fine
+        with pytest.raises(ConstraintError):
+            find_violations(db, FD("teams", ("nope",), ("continent",)))
+        with pytest.raises(ConstraintError):
+            find_violations(db, ForeignKey("games", ("winner",), "teams", ("nope",)))
 
 
 class TestViolationDetection:
@@ -55,15 +68,16 @@ class TestViolationDetection:
         db = Database(
             schema, [fact("teams", "NED", "EU"), fact("teams", "NED", "SA")]
         )
-        violations = constraints.key_violations(db)
+        violations = find_violations(db, constraints)
         assert len(violations) == 1
         assert violations[0].facts == frozenset(
             {fact("teams", "NED", "EU"), fact("teams", "NED", "SA")}
         )
+        assert violations[0].parent is None
 
     def test_no_violation_on_identical_key_single_fact(self, schema, constraints):
         db = Database(schema, [fact("teams", "NED", "EU")])
-        assert constraints.key_violations(db) == []
+        assert find_violations(db, constraints) == []
 
     def test_three_way_conflict_yields_three_pairs(self, schema, constraints):
         db = Database(
@@ -74,31 +88,45 @@ class TestViolationDetection:
                 fact("teams", "X", "AF"),
             ],
         )
-        assert len(constraints.key_violations(db)) == 3
+        assert len(find_violations(db, constraints)) == 3
 
     def test_fk_violation_found(self, schema, constraints):
         db = Database(schema, [fact("games", "d1", "GER")])
-        violations = constraints.foreign_key_violations(db)
+        violations = find_violations(db, constraints)
         assert len(violations) == 1
-        assert violations[0].child_fact == fact("games", "d1", "GER")
+        assert violations[0].facts == frozenset({fact("games", "d1", "GER")})
+        assert violations[0].parent == Atom("teams", ("GER", Var("v1")))
 
     def test_fk_satisfied(self, schema, constraints):
         db = Database(
             schema, [fact("games", "d1", "GER"), fact("teams", "GER", "EU")]
         )
-        assert constraints.foreign_key_violations(db) == []
-        assert constraints.is_satisfied(db)
+        assert find_violations(db, constraints) == []
+        assert satisfies(db, constraints)
 
     def test_ground_truth_satisfies_worldcup_constraints(self, worldcup_gt):
-        constraints = worldcup_constraints()
-        constraints.validate_against(worldcup_gt)
-        assert constraints.is_satisfied(worldcup_gt)
+        for backend in ("naive", "columnar"):
+            assert satisfies(worldcup_gt, worldcup_constraints(), backend=backend)
+
+    @pytest.mark.parametrize(
+        "backend", [b for b in ("columnar", "sql") if b in available_backends()]
+    )
+    def test_fk_detection_parity_across_backends(self, worldcup_gt, backend):
+        db = worldcup_gt.copy()
+        db.insert(fact("goals", "Nobody Special", "13.07.2014"))
+        db.insert(fact("players", "Ghost", "XXX", 1990, "GER"))
+        db.delete(sorted(db.facts("stages"))[0])
+        expected = find_violations(db, worldcup_constraints(), backend="naive")
+        assert len(expected) >= 3
+        assert find_violations(db, worldcup_constraints(), backend=backend) == expected
 
 
 class TestConstraintCleaner:
-    def _cleaner(self, db, gt, constraints):
-        return ConstraintCleaner(
-            db, AccountingOracle(PerfectOracle(gt)), constraints, random.Random(0)
+    """Key/FK repair through :class:`OracleRepairer`."""
+
+    def _cleaner(self, db, gt, constraints, **options):
+        return OracleRepairer(
+            db, AccountingOracle(PerfectOracle(gt)), constraints, **options
         )
 
     def test_key_conflict_resolved_to_truth(self, schema, constraints):
@@ -106,28 +134,75 @@ class TestConstraintCleaner:
         db = Database(
             schema, [fact("teams", "NED", "EU"), fact("teams", "NED", "SA")]
         )
-        report = self._cleaner(db, gt, constraints).repair()
-        assert constraints.is_satisfied(db)
+        report = self._cleaner(db, gt, constraints).run()
+        assert satisfies(db, constraints)
         assert fact("teams", "NED", "EU") in db
         assert fact("teams", "NED", "SA") not in db
-        assert report.resolved_key_violations == 1
-        assert not report.unresolved
+        assert report.violations_found == 1
+        assert report.converged and report.consistent
 
     def test_false_child_deleted(self, schema, constraints):
         gt = Database(schema, [fact("teams", "GER", "EU")])
         db = Database(schema, [fact("games", "d9", "XXX")])  # false child
-        self._cleaner(db, gt, constraints).repair()
+        self._cleaner(db, gt, constraints).run()
         assert fact("games", "d9", "XXX") not in db
-        assert constraints.is_satisfied(db)
+        assert satisfies(db, constraints)
 
     def test_missing_parent_inserted(self, schema, constraints):
         gt = Database(
             schema, [fact("games", "d1", "GER"), fact("teams", "GER", "EU")]
         )
         db = Database(schema, [fact("games", "d1", "GER")])  # true child
-        report = self._cleaner(db, gt, constraints).repair()
+        report = self._cleaner(db, gt, constraints).run()
         assert fact("teams", "GER", "EU") in db
-        assert report.resolved_fk_violations == 1
+        assert fact("games", "d1", "GER") in db
+        assert [e.fact for e in report.insertions] == [fact("teams", "GER", "EU")]
+        assert report.free_deletions == 0
+        assert db == gt
+
+    def test_ground_parent_inserted_without_completion(self):
+        schema = Schema.from_dict({"child": ["k"], "parent": ["k"]})
+        fk = ForeignKey("child", ("k",), "parent", ("k",))
+        gt = Database(schema, [fact("child", "a"), fact("parent", "a")])
+        db = Database(schema, [fact("child", "a")])
+        report = self._cleaner(db, gt, [fk]).run()
+        assert db == gt
+        assert report.questions_asked == 1  # TRUE(child)? only — no COMPL
+
+    def test_budget_degrade_deletes_dangling_child(self, schema, constraints):
+        gt = Database(
+            schema, [fact("games", "d1", "GER"), fact("teams", "GER", "EU")]
+        )
+        db = Database(schema, [fact("games", "d1", "GER")])
+        report = self._cleaner(
+            db, gt, constraints, budget=RepairBudget(max_cost=0)
+        ).run()
+        assert fact("games", "d1", "GER") not in db
+        assert report.questions_asked == 0
+        assert report.consistent and not report.converged
+
+    def test_budget_degrade_spares_children_already_resolved(self, schema, constraints):
+        gt = Database(
+            schema,
+            [
+                fact("teams", "GER", "EU"),
+                fact("teams", "ITA", "EU"),
+                fact("games", "d1", "GER"),
+                fact("games", "d2", "ITA"),
+                fact("games", "d3", "GER"),
+            ],
+        )
+        db = Database(
+            schema,
+            [fact("games", "d1", "GER"), fact("games", "d2", "ITA"), fact("games", "d3", "GER")],
+        )
+        # enough budget for d1 (ask + complete teams(GER, ·)), none after
+        report = self._cleaner(db, gt, constraints, budget=RepairBudget(max_cost=2)).run()
+        assert fact("teams", "GER", "EU") in db
+        assert fact("games", "d3", "GER") in db  # its parent arrived with d1's
+        assert fact("games", "d2", "ITA") not in db  # degraded: deleted unasked
+        assert report.cost == 2
+        assert report.consistent and not report.converged
 
     def test_cascading_repairs(self, schema, constraints):
         # Deleting a false teams fact (key conflict) creates no dangling
@@ -143,8 +218,8 @@ class TestConstraintCleaner:
                 fact("teams", "GER", "AS"),
             ],
         )
-        self._cleaner(db, gt, constraints).repair()
-        assert constraints.is_satisfied(db)
+        self._cleaner(db, gt, constraints).run()
+        assert satisfies(db, constraints)
         assert db == gt
 
     def test_worldcup_corruption_repaired(self, worldcup_gt):
@@ -153,33 +228,25 @@ class TestConstraintCleaner:
         # Plant one violation of each kind.
         db.insert(fact("teams", "GER", "SA"))                 # key conflict
         db.insert(fact("goals", "Nobody Special", "13.07.2014"))  # dangling FK
-        victim = sorted(db.facts("teams"))[0]
-        report = ConstraintCleaner(
-            db,
-            AccountingOracle(PerfectOracle(worldcup_gt)),
-            constraints,
-            random.Random(0),
-        ).repair()
-        assert constraints.is_satisfied(db)
+        report = self._cleaner(db, worldcup_gt, constraints).run()
+        assert satisfies(db, constraints)
         assert fact("teams", "GER", "SA") not in db
         assert fact("goals", "Nobody Special", "13.07.2014") not in db
-        assert not report.unresolved
+        assert report.converged
+        assert db == worldcup_gt
 
     def test_edits_only_move_towards_truth(self, worldcup_gt):
         constraints = worldcup_constraints()
         db = worldcup_gt.copy()
         db.insert(fact("teams", "BRA", "EU"))
         before = db.distance(worldcup_gt)
-        ConstraintCleaner(
-            db,
-            AccountingOracle(PerfectOracle(worldcup_gt)),
-            constraints,
-            random.Random(0),
-        ).repair()
+        self._cleaner(db, worldcup_gt, constraints).run()
         assert db.distance(worldcup_gt) <= before
 
-    def test_unresolvable_reported(self, schema, constraints):
-        # An oracle that affirms everything cannot resolve a key conflict.
+    def test_partner_inferred_false(self, schema, constraints):
+        # Once one side of a key conflict is certified true, the other is
+        # false without asking: even an oracle that affirms everything is
+        # asked a single question.
         class YesOracle(PerfectOracle):
             def verify_fact(self, fact):
                 return True
@@ -188,7 +255,10 @@ class TestConstraintCleaner:
         db = Database(
             schema, [fact("teams", "NED", "EU"), fact("teams", "NED", "SA")]
         )
-        report = ConstraintCleaner(
-            db, AccountingOracle(YesOracle(gt)), constraints, random.Random(0)
-        ).repair()
-        assert report.unresolved
+        report = OracleRepairer(
+            db, AccountingOracle(YesOracle(gt)), constraints
+        ).run()
+        assert report.questions_asked == 1
+        assert report.inferred == 1
+        assert len(db.facts("teams")) == 1
+        assert report.consistent

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.core.registry import REGISTRY
 from repro.core.deletion import (
-    DELETION_STRATEGIES,
     DeletionError,
     QOCODeletion,
     QOCOMinusDeletion,
@@ -135,11 +135,12 @@ class TestBaselines:
         from repro.datasets.figure1 import figure1_dirty
 
         costs = {}
-        for name, strategy_cls in DELETION_STRATEGIES.items():
+        for name in ("QOCO", "QOCO-", "Random"):
             oracle = AccountingOracle(PerfectOracle(fig1_gt))
             db = figure1_dirty()
+            strategy = REGISTRY.resolve("deletion", name)
             crowd_remove_wrong_answer(
-                EX1, db, ("ESP",), oracle, strategy_cls(), random.Random(0)
+                EX1, db, ("ESP",), oracle, strategy, random.Random(0)
             )
             costs[name] = oracle.log.cost_of([QuestionKind.VERIFY_FACT])
         assert costs["QOCO"] <= costs["QOCO-"] <= costs["Random"]

@@ -19,7 +19,6 @@ from qoco_strategies import databases, queries
 from repro.db.tuples import fact
 from repro.dispatch import (
     Budget,
-    DedupIndex,
     DispatchEngine,
     FaultKind,
     FaultModel,
@@ -243,18 +242,6 @@ class TestQuestionKey:
         assert question_key(
             ("verify_fact", fact("teams", "ESP", "EU"))
         ) != question_key(("verify_fact", fact("teams", "ITA", "EU")))
-
-
-class TestDedupIndex:
-    def test_subscribe_counts_coalesced(self):
-        index = DedupIndex()
-        index.publish("k", True)
-        assert index.lookup("k") is True
-        assert index.subscribe("k") is True
-        assert index.subscribe("k") is True
-        assert index.coalesced == 2
-        index.clear()
-        assert index.lookup("k") is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.registry import RegistryError
 from repro.experiments.harness import (
     BarMeasurement,
     deletion_upper_bound,
@@ -63,7 +64,7 @@ class TestDeletionRun:
         assert qoco.questions <= rand.questions
 
     def test_unknown_strategy_rejected(self, worldcup_gt, q1_errors):
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError):
             run_deletion(worldcup_gt, Q1, q1_errors, "Nope", seed=1)
 
 

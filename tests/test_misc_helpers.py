@@ -5,6 +5,7 @@ import pytest
 from repro.db.database import Database
 from repro.db.schema import Schema
 from repro.db.tuples import fact
+from repro.core.registry import RegistryError
 from repro.experiments.harness import make_split, make_strategy
 from repro.query.ast import Atom, Var, is_var, term_str
 from repro.query.evaluator import atom_pattern, negated_match_exists
@@ -62,13 +63,13 @@ class TestHarnessFactories:
     def test_make_strategy(self):
         assert make_strategy("QOCO").name == "QOCO"
         assert make_strategy("Random").name == "Random"
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError):
             make_strategy("nope")
 
     def test_make_split(self):
         assert make_split("Provenance").name == "Provenance"
         assert make_split("Naive").name == "Naive"
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError):
             make_split("nope")
 
 

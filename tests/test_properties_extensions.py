@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.composite import crowd_remove_wrong_answer_composite
-from repro.core.constraints import ConstraintCleaner
+from repro.constraints import FD, ForeignKey, OracleRepairer, find_violations, satisfies
 from repro.crowdsim.simulator import CrowdSimulator
-from repro.db.constraints import ConstraintSet, ForeignKey, Key
 from repro.db.database import Database
 from repro.db.io import load_json, save_json
 from repro.db.schema import RelationSchema, Schema
@@ -59,10 +58,7 @@ DISJUNCT_A = parse_query("u(p) :- r(p, q).")
 DISJUNCT_B = parse_query("u(p) :- s(p).")
 UNION = UnionQuery((DISJUNCT_A, DISJUNCT_B), "u")
 
-CONSTRAINTS = ConstraintSet(
-    keys=[Key("r", (0,))],
-    foreign_keys=[ForeignKey("r", (0,), "s", (0,))],
-)
+CONSTRAINTS = [FD("r", ("p",), ("q",)), ForeignKey("r", ("p",), "s", ("p",))]
 
 
 # ---------------------------------------------------------------------------
@@ -93,38 +89,30 @@ def test_union_witnesses_cover_producing_disjuncts(db):
 # ---------------------------------------------------------------------------
 
 
+def _make_consistent(gt):
+    """Drop violators until the ground truth satisfies the constraints."""
+    for violation in find_violations(gt, CONSTRAINTS):
+        gt.delete(max(violation.facts, key=repr))
+    assert satisfies(gt, CONSTRAINTS)
+
+
 @given(db=databases(), gt=databases())
 @settings(max_examples=50, deadline=None)
 def test_constraint_repair_reaches_satisfaction_or_reports(db, gt):
     """With a perfect oracle over a constraint-satisfying ground truth,
     repair either satisfies the constraints or reports the obstruction."""
-    # force the ground truth to satisfy the constraints: drop violators
-    for violation in CONSTRAINTS.key_violations(gt):
-        for fact in sorted(violation.facts, key=repr)[1:]:
-            gt.delete(fact)
-    for violation in CONSTRAINTS.foreign_key_violations(gt):
-        gt.delete(violation.child_fact)
-    assert CONSTRAINTS.is_satisfied(gt)
-
-    cleaner = ConstraintCleaner(
-        db, AccountingOracle(PerfectOracle(gt)), CONSTRAINTS, random.Random(0)
-    )
-    report = cleaner.repair()
-    assert CONSTRAINTS.is_satisfied(db) or report.unresolved
+    _make_consistent(gt)
+    report = OracleRepairer(db, AccountingOracle(PerfectOracle(gt)), CONSTRAINTS).run()
+    assert report.consistent == satisfies(db, CONSTRAINTS)
+    assert report.consistent or not report.converged
 
 
 @given(db=databases(), gt=databases())
 @settings(max_examples=50, deadline=None)
 def test_constraint_repair_never_increases_distance(db, gt):
-    for violation in CONSTRAINTS.key_violations(gt):
-        for fact in sorted(violation.facts, key=repr)[1:]:
-            gt.delete(fact)
-    for violation in CONSTRAINTS.foreign_key_violations(gt):
-        gt.delete(violation.child_fact)
+    _make_consistent(gt)
     before = db.distance(gt)
-    ConstraintCleaner(
-        db, AccountingOracle(PerfectOracle(gt)), CONSTRAINTS, random.Random(0)
-    ).repair()
+    OracleRepairer(db, AccountingOracle(PerfectOracle(gt)), CONSTRAINTS).run()
     assert db.distance(gt) <= before
 
 

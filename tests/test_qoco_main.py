@@ -66,8 +66,8 @@ class TestConvergence:
 class TestConfig:
     def test_alternative_strategies(self, fig1_dirty, fig1_gt):
         config = QOCOConfig(
-            deletion_strategy=QOCOMinusDeletion(),
-            split_strategy=MinCutSplit(),
+            deletion=QOCOMinusDeletion(),
+            split=MinCutSplit(),
             seed=3,
         )
         report = QOCO(

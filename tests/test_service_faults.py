@@ -19,6 +19,8 @@ from __future__ import annotations
 import socket
 import time
 
+import pytest
+
 from repro.dispatch.policy import RetryPolicy
 from repro.oracle.perfect import PerfectOracle
 from repro.server.manager import SessionManager
@@ -185,6 +187,24 @@ class TestDuplicateAnswers:
                     {"worker": "w0", "qid": 424242, "reply": {"value": True}},
                 )
                 assert doc["status"] == "unknown"
+
+
+class TestBrokerVoting:
+    @pytest.mark.parametrize(
+        "votes, verdict", [((True, False), False), ((True, False, True), True)]
+    )
+    def test_split_vote_resolves_false_like_the_engine(self, votes, verdict):
+        # the dispatch engine and MajorityVote need a strict majority of
+        # yes votes; a T/F split is "no" in the broker too
+        broker = QuestionBroker(
+            policy=RetryPolicy(timeout=30.0), votes_per_closed=len(votes)
+        )
+        question = broker.submit("verify_fact", {"i": 0}, None)
+        for index, vote in enumerate(votes):
+            outcome = broker.answer(f"w{index}", question.qid, vote, now=0.0)
+            assert outcome["status"] == "accepted"
+        assert outcome["resolved"]
+        assert question.value is verdict
 
 
 class TestBrokerBoundedMemory:

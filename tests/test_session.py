@@ -1,6 +1,6 @@
-"""Unit tests for cleaning reports (repro.core.session)."""
+"""Unit tests for cleaning reports (repro.core.report)."""
 
-from repro.core.session import CleaningReport
+from repro.core.report import Report
 from repro.db.edits import delete, insert
 from repro.db.tuples import fact
 from repro.oracle.questions import InteractionLog, QuestionKind
@@ -8,7 +8,7 @@ from repro.oracle.questions import InteractionLog, QuestionKind
 
 class TestCleaningReport:
     def test_edit_partition(self):
-        report = CleaningReport(query_name="q")
+        report = Report(query_name="q")
         report.edits = [
             delete(fact("r", 1)),
             insert(fact("r", 2)),
@@ -21,11 +21,11 @@ class TestCleaningReport:
         log = InteractionLog()
         log.record(QuestionKind.VERIFY_FACT, 1)
         log.record(QuestionKind.COMPLETE_ASSIGNMENT, 4)
-        report = CleaningReport(query_name="q", log=log)
+        report = Report(query_name="q", log=log)
         assert report.total_cost == 5
 
     def test_summary_fields(self):
-        report = CleaningReport(query_name="q")
+        report = Report(query_name="q")
         report.wrong_answers_removed = [("a",)]
         report.missing_answers_added = [("b",), ("c",)]
         report.edits = [delete(fact("r", 1)), insert(fact("r", 2))]
@@ -38,7 +38,7 @@ class TestCleaningReport:
         assert "2 iteration" in text
 
     def test_defaults(self):
-        report = CleaningReport(query_name="q")
+        report = Report(query_name="q")
         assert report.converged
         assert report.edits == []
         assert report.iterations == 0

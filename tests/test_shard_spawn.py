@@ -17,10 +17,9 @@ import sys
 
 import pytest
 
-from repro.core.deletion import DELETION_STRATEGIES
 from repro.core.insertion import InsertionConfig
 from repro.core.qoco import QOCOConfig
-from repro.core.split import SPLIT_STRATEGIES
+from repro.core.registry import REGISTRY
 from repro.datasets.worldcup import worldcup_partition_spec
 from repro.db.database import Database
 from repro.db.schema import RelationSchema, Schema
@@ -38,6 +37,13 @@ SCHEMA = Schema(
         RelationSchema("lab", ("x", "y")),
     ]
 )
+
+
+def _display_names(kind):
+    """Every registered strategy of *kind*, by its class's display name
+    (names resolve case-insensitively, so these round-trip too)."""
+    return sorted(type(REGISTRY.resolve(kind, n)).name for n in REGISTRY.names(kind))
+
 
 QUERIES = [
     "q(x) :- m(x, y).",
@@ -67,12 +73,13 @@ def _spawn_echo(obj):
 
 
 class TestConfigWire:
-    @pytest.mark.parametrize("deletion", sorted(DELETION_STRATEGIES))
-    @pytest.mark.parametrize("split", sorted(SPLIT_STRATEGIES))
+    @pytest.mark.parametrize("deletion", _display_names("deletion"))
+    @pytest.mark.parametrize("split", _display_names("split"))
     def test_roundtrip_all_registered_strategies(self, deletion, split):
+        """A strategy *instance* of every registered name crosses the wire."""
         config = QOCOConfig(
-            deletion=DELETION_STRATEGIES[deletion](),
-            split=SPLIT_STRATEGIES[split](),
+            deletion=REGISTRY.resolve("deletion", deletion),
+            split=REGISTRY.resolve("split", split),
             insertion=InsertionConfig(max_candidates_per_subquery=5, max_subqueries=9),
             max_iterations=17,
             seed=13,
@@ -81,7 +88,8 @@ class TestConfigWire:
         obj = wire.config_to_obj(config)
         decoded = wire.config_from_obj(pickle.loads(pickle.dumps(obj)))
         assert wire.config_to_obj(decoded) == obj
-        assert type(decoded.deletion_strategy) is type(config.deletion_strategy)
+        assert type(decoded.deletion) is type(config.deletion)
+        assert type(decoded.split) is type(config.split)
         assert decoded.max_iterations == 17 and decoded.seed == 13
 
     def test_roundtrip_string_names_and_planner(self):
@@ -93,8 +101,8 @@ class TestConfigWire:
         assert obj["split_strategy"] == "mincut"
         assert obj["planner"] == "bandit"
         decoded = wire.config_from_obj(pickle.loads(pickle.dumps(obj)))
-        assert type(decoded.deletion_strategy).__name__ == "ResponsibilityDeletion"
-        assert type(decoded.split_strategy).__name__ == "MinCutSplit"
+        assert type(decoded.deletion).__name__ == "ResponsibilityDeletion"
+        assert type(decoded.split).__name__ == "MinCutSplit"
         assert decoded.planner == "bandit"
 
     def test_unknown_strategy_name_rejected(self):

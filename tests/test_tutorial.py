@@ -17,12 +17,10 @@ from repro import (
     QOCO,
     QOCOConfig,
 )
-from repro.core import ConstraintCleaner, MinCutSplit, QOCOMinusDeletion
+from repro.constraints import FD, ForeignKey, repair, satisfies
+from repro.core import REGISTRY, MinCutSplit, QOCOMinusDeletion
 from repro.db import (
     Database,
-    ForeignKey,
-    Key,
-    ConstraintSet,
     RelationSchema,
     Schema,
     fact,
@@ -107,23 +105,20 @@ class TestTutorialSteps:
 
     def test_step6_strategy_config(self, dirty, ground_truth):
         config = QOCOConfig(deletion="qoco-", split="mincut", seed=7)
-        assert isinstance(config.deletion_strategy, QOCOMinusDeletion)
-        assert isinstance(config.split_strategy, MinCutSplit)
+        assert isinstance(REGISTRY.resolve("deletion", config.deletion), QOCOMinusDeletion)
+        assert isinstance(REGISTRY.resolve("split", config.split), MinCutSplit)
         oracle = AccountingOracle(PerfectOracle(ground_truth))
         QOCO(dirty, oracle, config).clean(AWARDED)
         assert evaluate(AWARDED, dirty) == evaluate(AWARDED, ground_truth)
 
     def test_step7_constraints(self, dirty, ground_truth):
-        constraints = ConstraintSet(
-            keys=[Key("movies", (0,))],
-            foreign_keys=[ForeignKey("awards", (0,), "movies", (0,))],
-        )
+        constraints = [
+            FD("movies", ("title",), ("director", "year")),
+            ForeignKey("awards", ("title",), "movies", ("title",)),
+        ]
         dirty.insert(fact("awards", "Ghost Movie", "Oscar"))  # dangling
-        cleaner = ConstraintCleaner(
-            dirty, AccountingOracle(PerfectOracle(ground_truth)), constraints
-        )
-        cleaner.repair()
-        assert constraints.is_satisfied(dirty)
+        repair(dirty, constraints, PerfectOracle(ground_truth))
+        assert satisfies(dirty, constraints)
 
     def test_step8_view_monitoring(self, dirty, ground_truth):
         manager = ViewManager(dirty)
