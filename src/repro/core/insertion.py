@@ -21,7 +21,7 @@ from ..db.database import Database
 from ..db.edits import Edit, insert
 from ..oracle.base import AccountingOracle
 from ..query.ast import Query
-from ..query.evaluator import Answer, Assignment, Evaluator, atom_pattern, witness_of
+from ..query.evaluator import Answer, Assignment, Evaluator, query_plan, witness_of
 from ..query.subquery import embed_answer, ground_atoms
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .split import ProvenanceSplit, SplitStrategy
@@ -206,8 +206,8 @@ def _near_witness_score(
     under *candidate* — a cheap proxy for "this partial assignment is one
     small completion away from a witness"."""
     score = 0
-    for atom in embedded.atoms:
-        pattern = atom_pattern(atom, candidate)
+    for atom in query_plan(embedded).atoms:
+        pattern = atom.pattern(candidate)
         if next(database.match(atom.relation, pattern), None) is not None:
             score += 1
     return score

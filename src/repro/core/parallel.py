@@ -341,13 +341,12 @@ class ParallelQOCO:
         report = Report(query_name=query.name, log=self.oracle.log)
         scheduler = self.scheduler_factory(self.oracle)
         verified: set[Answer] = set()
-        if self.use_incremental and supports_incremental(query):
-            self._engine = IncrementalAnswers(
-                query, self.database, evaluator_factory=self._make_evaluator
-            )
         try:
-            span = _TELEMETRY.span("parallel.clean", query=query.name)
-            with span:
+            with _TELEMETRY.span("parallel.clean", query=query.name):
+                if self.use_incremental and supports_incremental(query):
+                    self._engine = IncrementalAnswers(
+                        query, self.database, evaluator_factory=self._make_evaluator
+                    )
                 self._clean_loop(query, report, scheduler, verified)
         finally:
             if self._engine is not None:

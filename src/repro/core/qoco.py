@@ -213,12 +213,12 @@ class QOCO:
         report = Report(query_name=query.name, log=self.oracle.log)
         verified: set[Answer] = set()
 
-        if self.config.use_incremental and supports_incremental(query):
-            self._engine = IncrementalAnswers(
-                query, self.database, evaluator_factory=self._make_evaluator
-            )
         try:
             with _TELEMETRY.span("qoco.clean", query=query.name):
+                if self.config.use_incremental and supports_incremental(query):
+                    self._engine = IncrementalAnswers(
+                        query, self.database, evaluator_factory=self._make_evaluator
+                    )
                 first_iteration = True
                 while first_iteration or (self._answers(query) - verified):
                     if report.iterations >= self.config.max_iterations:

@@ -98,6 +98,17 @@ def fabricate_fact(
     facts = sorted(ground_truth, key=repr) if relation is None else sorted(
         ground_truth.facts(relation), key=repr
     )
+    return _fabricate_from(facts, ground_truth, forbidden, rng, max_tries)
+
+
+def _fabricate_from(
+    facts: list[Fact],
+    ground_truth: Database,
+    forbidden: set[Fact],
+    rng: random.Random,
+    max_tries: int = 200,
+) -> Fact:
+    """:func:`fabricate_fact` over an already sorted base list *facts*."""
     if not facts:
         raise NoiseError("cannot fabricate from an empty relation")
     for _ in range(max_tries):
@@ -135,7 +146,9 @@ def make_dirty(
     false_count, missing_count = spec.counts(len(ground_truth))
     dirty = ground_truth.copy()
 
-    removable = sorted((f for f in ground_truth if f not in protected), key=repr)
+    # Sorted once: removals and every fabrication draw from this order.
+    facts = sorted(ground_truth, key=repr)
+    removable = [f for f in facts if f not in protected]
     if missing_count > len(removable):
         raise NoiseError(
             f"cannot remove {missing_count} facts; only {len(removable)} removable"
@@ -145,7 +158,7 @@ def make_dirty(
 
     added: set[Fact] = set()
     for _ in range(false_count):
-        fake = fabricate_fact(ground_truth, added, rng)
+        fake = _fabricate_from(facts, ground_truth, added, rng)
         added.add(fake)
         dirty.insert(fake)
     return dirty

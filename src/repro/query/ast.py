@@ -185,6 +185,13 @@ class Query:
                 )
             seen_local |= local
 
+    def __getstate__(self) -> dict:
+        # The evaluator caches its compiled plan on the instance
+        # (repro.query.evaluator.query_plan); it is not part of the value.
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
+
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------

@@ -46,15 +46,7 @@ from ..db.edits import Edit, EditKind
 from ..db.tuples import Constant, Fact
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .ast import Atom, Query, Var
-from .evaluator import (
-    Answer,
-    Assignment,
-    Evaluator,
-    Witness,
-    _bind_atom,
-    instantiate_head,
-    witness_of,
-)
+from .evaluator import Answer, Assignment, Evaluator, Witness, query_plan
 
 #: Builds the evaluator backing delta enumeration and full recomputes.
 EvaluatorFactory = Callable[[Query, Database], Evaluator]
@@ -77,14 +69,11 @@ def assignments_using_fact(evaluator: Evaluator, fact: Fact) -> list[Assignment]
     fact and enumerate the residual join; an assignment reachable
     through several atom occurrences is reported once.
     """
-    query = evaluator.query
     seen: set[frozenset] = set()
     result: list[Assignment] = []
-    for atom in query.atoms:
-        if atom.relation != fact.relation or atom.arity != fact.arity:
-            continue
-        partial: Assignment = {}
-        if _bind_atom(atom, fact, partial) is None:
+    for atom in query_plan(evaluator.query).atoms:
+        partial = atom.bind(fact)
+        if partial is None:
             continue
         for assignment in evaluator.assignments(partial):
             key = frozenset(assignment.items())
@@ -159,7 +148,7 @@ class IncrementalAnswers(DatabaseListener):
         self.query = query
         self.database = database
         self._evaluator = evaluator_factory(query, database)
-        self._body_vars = query.body_variables()
+        self._plan = query_plan(query)
         self._relevant = {a.relation for a in query.atoms} | {
             a.relation for a in query.negated_atoms
         }
@@ -220,13 +209,14 @@ class IncrementalAnswers(DatabaseListener):
     # ------------------------------------------------------------------
     def refresh(self) -> None:
         """Full recomputation (construction, fallback, manual resync)."""
-        _TELEMETRY.count("incremental.full_recompute")
-        self._support = Counter()
-        self._witness_support = {}
-        for assignment in self._evaluator.assignments():
-            self._admit(assignment)
-        self._version = self.database.version
-        self._pending = []
+        with _TELEMETRY.span("incremental.refresh"):
+            _TELEMETRY.count("incremental.full_recompute")
+            self._support = Counter()
+            self._witness_support = {}
+            for assignment in self._evaluator.assignments():
+                self._admit(assignment)
+            self._version = self.database.version
+            self._pending = []
 
     def close(self) -> None:
         """Detach from the database's edit hook (idempotent)."""
@@ -295,7 +285,7 @@ class IncrementalAnswers(DatabaseListener):
         seen: set[frozenset] = set()
         result: list[Assignment] = []
         for atom in negated:
-            partial = negation_binding(atom, fact, self._body_vars)
+            partial = negation_binding(atom, fact, self._plan.body_variables)
             if partial is None:
                 continue
             for assignment in self._evaluator.assignments(partial):
@@ -307,16 +297,16 @@ class IncrementalAnswers(DatabaseListener):
         return result
 
     def _admit(self, assignment: Assignment, touched: Optional[set] = None) -> None:
-        answer = instantiate_head(self.query, assignment)
-        witness = witness_of(self.query, assignment)
+        answer = self._plan.answer(assignment)
+        witness = self._plan.witness(assignment)
         self._support[answer] += 1
         self._witness_support.setdefault(answer, Counter())[witness] += 1
         if touched is not None:
             touched.add(answer)
 
     def _retract(self, assignment: Assignment, touched: set) -> None:
-        answer = instantiate_head(self.query, assignment)
-        witness = witness_of(self.query, assignment)
+        answer = self._plan.answer(assignment)
+        witness = self._plan.witness(assignment)
         if self._support.get(answer, 0) <= 1:
             self._support.pop(answer, None)
         else:

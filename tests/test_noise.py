@@ -1,5 +1,6 @@
 """Tests for the controlled noise model (Section 7.2 parameters)."""
 
+import hashlib
 import random
 
 import pytest
@@ -53,6 +54,19 @@ class TestMakeDirty:
         assert measure_skewness(dirty, worldcup_gt) == pytest.approx(
             skewness, abs=0.02
         )
+
+    def test_output_and_draws_pinned(self, worldcup_gt):
+        """The ground truth is sorted once per call, not once per
+        fabricated fact; the output and the number of RNG draws are
+        pinned (the digest is the same under any ``PYTHONHASHSEED``)."""
+        rng = random.Random(7)
+        dirty = make_dirty(worldcup_gt, NoiseSpec(0.6, 1.0), rng)
+        lines = "\n".join(sorted(map(repr, dirty)))
+        assert len(dirty) == 8452
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "3301d586daf072ae10b3a41369037a6629b1a843f51caaa73662b5f9e3b6587e"
+        )
+        assert rng.random() == 0.007273400783987305
 
     def test_protected_facts_survive(self, worldcup_gt):
         protected = set(worldcup_gt.facts("stages"))

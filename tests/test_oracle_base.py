@@ -6,6 +6,7 @@ from repro.oracle.perfect import PerfectOracle
 from repro.oracle.questions import QuestionKind
 from repro.query.ast import Var
 from repro.query.parser import parse_query
+from repro.telemetry import telemetry_session
 from repro.workloads import EX1
 
 
@@ -86,6 +87,26 @@ class TestAnswerCacheStructuralKey:
         assert oracle.verify_answer(parse_query(self.EX1_TEXT), ("GER",)) is False
         assert oracle.log.question_count == 0
         assert oracle.cached_answer(EX1, ("GER",)) is False
+
+
+class TestPerfectOracleMemo:
+    """Regression: ``PerfectOracle`` memoized ``Q(D_G)`` by ``id(query)``
+    and kept every query alive to protect the ids.  A service worker
+    decodes a fresh ``Query`` per leased question, so each question
+    re-evaluated ``Q(D_G)`` in full and the memo grew without bound.
+    The memo is now keyed by the query value."""
+
+    def test_equal_queries_evaluate_once(self, fig1_gt):
+        oracle = PerfectOracle(fig1_gt)
+        text = TestAnswerCacheStructuralKey.EX1_TEXT
+        with telemetry_session() as (tel, _):
+            # a freshly parsed, equal query per question
+            assert oracle.verify_answer(parse_query(text), ("GER",)) is True
+            assert oracle.verify_answer(parse_query(text), ("ESP",)) is False
+            assert oracle.complete_result(parse_query(text), [("GER",)]) == ("ITA",)
+            assert tel.counter("evaluator.evaluations") == 1
+        assert len(oracle._answers_cache) == 1
+        assert not hasattr(oracle, "_query_by_id")
 
 
 class TestCosts:

@@ -288,6 +288,25 @@ class TestPipelineInstrumentation:
                 for path in sink.span_paths()
             )
 
+    @pytest.mark.parametrize(
+        "make, root",
+        [
+            (lambda dirty, oracle: QOCO(dirty, oracle, QOCOConfig(seed=7)), "qoco.clean"),
+            (lambda dirty, oracle: ParallelQOCO(dirty, oracle, seed=7), "parallel.clean"),
+        ],
+        ids=["qoco", "parallel"],
+    )
+    def test_full_refresh_inside_clean_span(self, make, root):
+        """Building the incremental engine (a full Q(D) evaluation) is
+        part of the clean, so its time must be attributed to it."""
+        oracle = AccountingOracle(PerfectOracle(figure1_ground_truth()))
+        with telemetry_session() as (hub, sink):
+            make(figure1_dirty(), oracle).clean(EX1)
+            stats = hub.span_stats()
+            assert f"{root}/incremental.refresh" in sink.span_paths()
+            assert "incremental.refresh" in stats
+            assert stats[root].total_seconds >= stats["incremental.refresh"].total_seconds
+
     def test_parallel_round_accounting(self):
         dirty = figure1_dirty()
         oracle = AccountingOracle(PerfectOracle(figure1_ground_truth()))
