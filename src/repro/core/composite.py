@@ -26,6 +26,7 @@ from ..provenance.witness import fact_frequencies
 from ..query.ast import Query
 from ..query.evaluator import Answer, Evaluator
 from .deletion import DeletionError, _consume_singletons, _prune_with_knowledge
+from .tasks import drive
 
 
 def crowd_remove_wrong_answer_composite(
@@ -51,11 +52,10 @@ def crowd_remove_wrong_answer_composite(
             frozenset(w) for w in Evaluator(query, database).witnesses(answer)
         ]
     sets: list[frozenset] = list(witnesses)
-    sets, edits = _prune_with_knowledge(sets, oracle)
+    sets, edits = _prune_with_knowledge(sets, oracle.known_fact_value)
 
     while sets:
-        sets, inferred = _consume_singletons(sets, oracle)
-        edits += inferred
+        sets = drive(_consume_singletons(sets, edits), oracle)
         if not sets:
             break
         if any(not s for s in sets):

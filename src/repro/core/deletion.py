@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..db.database import Database
 from ..db.edits import Edit, delete
@@ -29,6 +29,7 @@ from ..provenance.witness import most_frequent_fact
 from ..query.ast import Query
 from ..query.evaluator import Answer, Evaluator
 from ..telemetry import TELEMETRY as _TELEMETRY
+from .tasks import Request, Task, drive
 
 
 class DeletionError(RuntimeError):
@@ -83,6 +84,28 @@ class RandomDeletion(DeletionStrategy):
         return rng.choice(pool)
 
 
+def removal_task(
+    witnesses: list[frozenset],
+    strategy: Optional[DeletionStrategy] = None,
+    rng: Optional[random.Random] = None,
+    known: Optional[Callable[[Fact], Optional[bool]]] = None,
+) -> Task:
+    """Algorithm 1 as a task (see :mod:`repro.core.tasks`): removes the
+    wrong answer whose witness system is *witnesses*.
+
+    Yields one ``verify_fact`` request per crowd question and a free
+    ``remember`` request per fact the singleton rule infers false;
+    returns the deletion edits (unapplied).  *known* maps a fact to an
+    answer the crowd already gave (``True``/``False``, ``None`` when
+    unknown), normally :meth:`AccountingOracle.known_fact_value`: facts
+    known false destroy their witnesses for free and facts known true
+    are pruned before anything is asked.  With an imperfect crowd a
+    witness may survive (all its facts "verified" true), which raises
+    :class:`DeletionError`.
+    """
+    return _remove(list(witnesses), strategy, rng, known)
+
+
 def crowd_remove_wrong_answer(
     query: Query,
     database: Database,
@@ -94,7 +117,7 @@ def crowd_remove_wrong_answer(
     witnesses: Optional[list[frozenset]] = None,
 ) -> list[Edit]:
     """Algorithm 1: derive (and by default apply) deletion edits that
-    remove *answer* from ``Q(D)``.
+    remove *answer* from ``Q(D)``, asking *oracle* one question at a time.
 
     Returns the list of deletion edits.  With a perfect oracle the edits
     are guaranteed to destroy every witness; with an imperfect crowd a
@@ -106,7 +129,6 @@ def crowd_remove_wrong_answer(
     which feeds the union of the per-disjunct systems).
     """
     strategy = strategy if strategy is not None else QOCODeletion()
-    rng = rng if rng is not None else random.Random()
     tel = _TELEMETRY
 
     with tel.span("deletion.remove_answer", strategy=strategy.name):
@@ -115,106 +137,97 @@ def crowd_remove_wrong_answer(
             witnesses = [
                 frozenset(w) for w in Evaluator(query, database).witnesses(answer)
             ]
-        sets: list[frozenset] = list(witnesses)
+        sets = list(witnesses)
         if tel.enabled:
             tel.observe("deletion.witnesses_per_answer", len(sets))
-        # Facts already known false (from earlier questions this run) destroy
-        # their witnesses for free; known-true facts can be pre-pruned.
-        sets, edits = _prune_with_knowledge(sets, oracle)
-
-        if isinstance(strategy, RandomDeletion):
-            edits += _verify_everything(sets, oracle, rng)
-            if apply:
-                database.apply(edits)
-            return edits
-
-        while sets:
-            if strategy.infer_singletons:
-                sets, inferred = _consume_singletons(sets, oracle)
-                edits += inferred
-                if not sets:
-                    break
-            if any(not s for s in sets):
-                raise DeletionError(
-                    f"answer {answer!r} has a witness whose facts were all deemed true"
-                )
-            fact = strategy.choose(sets, rng)
-            tel.count("deletion.facts_asked")
-            if oracle.verify_fact(fact):
-                sets = [s - {fact} for s in sets]
-                if any(not s for s in sets):
-                    raise DeletionError(
-                        f"answer {answer!r} has a witness whose facts were all deemed true"
-                    )
-            else:
-                edits.append(delete(fact))
-                sets = [s for s in sets if fact not in s]
-
+        # ``_remove``, not ``removal_task``: instrumenting the public task
+        # entry point must not count this episode a second time.
+        edits = drive(_remove(sets, strategy, rng, oracle.known_fact_value), oracle)
         if apply:
             database.apply(edits)
         return edits
 
 
+def _remove(
+    sets: list[frozenset],
+    strategy: Optional[DeletionStrategy],
+    rng: Optional[random.Random],
+    known: Optional[Callable[[Fact], Optional[bool]]],
+) -> Task:
+    strategy = strategy if strategy is not None else QOCODeletion()
+    rng = rng if rng is not None else random.Random()
+    edits: list[Edit] = []
+    if known is not None:
+        sets, edits = _prune_with_knowledge(sets, known)
+
+    if isinstance(strategy, RandomDeletion):
+        edits += yield from _verify_everything(sets, rng)
+        return edits
+
+    while sets:
+        if strategy.infer_singletons:
+            sets = yield from _consume_singletons(sets, edits)
+            if not sets:
+                break
+        _check_destroyable(sets)
+        fact = strategy.choose(sets, rng)
+        _TELEMETRY.count("deletion.facts_asked")
+        if (yield ("verify_fact", fact)):
+            sets = [s - {fact} for s in sets]
+            _check_destroyable(sets)
+        else:
+            edits.append(delete(fact))
+            sets = [s for s in sets if fact not in s]
+    return edits
+
+
+def _check_destroyable(sets: list[frozenset]) -> None:
+    if any(not s for s in sets):
+        raise DeletionError("a witness's facts were all deemed true")
+
+
 def _prune_with_knowledge(
-    sets: list[frozenset], oracle: AccountingOracle
+    sets: list[frozenset], known: Callable[[Fact], Optional[bool]]
 ) -> tuple[list[frozenset], list[Edit]]:
     """Apply cached oracle knowledge before asking anything."""
-    edits: list[Edit] = []
-    pruned: list[frozenset] = []
-    known_false = set()
-    for s in sets:
-        for fact in s:
-            if oracle.known_fact_value(fact) is False:
-                known_false.add(fact)
-    for s in sets:
-        if s & known_false:
-            continue
-        trimmed = frozenset(
-            f for f in s if oracle.known_fact_value(f) is not True
-        )
-        pruned.append(trimmed)
-    edits += [delete(f) for f in sorted(known_false, key=repr)]
-    return pruned, edits
+    known_false = {f for s in sets for f in s if known(f) is False}
+    pruned = [
+        frozenset(f for f in s if known(f) is not True)
+        for s in sets
+        if not s & known_false
+    ]
+    return pruned, [delete(f) for f in sorted(known_false, key=repr)]
 
 
 def _consume_singletons(
-    sets: list[frozenset], oracle: AccountingOracle
-) -> tuple[list[frozenset], list[Edit]]:
+    sets: list[frozenset], edits: list[Edit]
+) -> Generator[Request, Any, list[frozenset]]:
     """Algorithm 1 lines 2-4: delete singleton facts without asking.
 
     Because the wrong answer has at least one false fact per witness and
     all other facts of a singleton's witness were verified true, the
     singleton's fact must be false (Theorem 4.5) — remember it as such.
+    Appends the inferred deletions to *edits*; returns the surviving sets.
     """
-    edits: list[Edit] = []
-    changed = True
-    while changed:
-        changed = False
-        singles = sorted(
-            {next(iter(s)) for s in sets if len(s) == 1}, key=repr
-        )
+    while True:
+        singles = sorted({next(iter(s)) for s in sets if len(s) == 1}, key=repr)
         if not singles:
-            break
+            return sets
         for fact in singles:
             edits.append(delete(fact))
-            oracle.remember_fact(fact, False)
             _TELEMETRY.count("deletion.singleton_inferences")
-        survivors = [s for s in sets if not (s & set(singles))]
-        changed = len(survivors) != len(sets)
-        sets = survivors
-    return sets, edits
+            yield ("remember", fact, False)
+        sets = [s for s in sets if not (s & set(singles))]
 
 
-def _verify_everything(
-    sets: list[frozenset], oracle: AccountingOracle, rng: random.Random
-) -> list[Edit]:
+def _verify_everything(sets: list[frozenset], rng: random.Random) -> Task:
     """The Random baseline: verify every distinct witness fact."""
     pool = sorted({f for s in sets for f in s}, key=repr)
     rng.shuffle(pool)
     edits: list[Edit] = []
     remaining = list(sets)
     for fact in pool:
-        if oracle.verify_fact(fact):
+        if (yield ("verify_fact", fact)):
             remaining = [s - {fact} for s in remaining]
         else:
             edits.append(delete(fact))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..db.database import Database
 from ..db.edits import Edit, insert
@@ -25,6 +25,7 @@ from ..query.evaluator import Answer, Assignment, Evaluator, query_plan, witness
 from ..query.subquery import embed_answer, ground_atoms
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .split import ProvenanceSplit, SplitStrategy
+from .tasks import Request, Task, drive
 
 
 class InsertionError(RuntimeError):
@@ -47,6 +48,31 @@ class InsertionConfig:
     max_subqueries: int = 64
 
 
+def insertion_task(
+    query: Query,
+    database: Database,
+    answer: Answer,
+    split: SplitStrategy,
+    rng: random.Random,
+    config: InsertionConfig,
+    present: Optional[Callable[[], bool]] = None,
+) -> Task:
+    """Algorithm 2 as a task (see :mod:`repro.core.tasks`): adds the
+    missing *answer* to ``Q(D)``.
+
+    Yields ``verify_candidate`` and ``complete_assignment`` requests and
+    returns the applied insertion edits; *database* is mutated as the
+    witness is determined.  Raises :class:`InsertionError` if the crowd
+    provides no witness.
+
+    *present*, when given, replaces the loop guard ``Q|t(D) ≠ ∅`` with a
+    caller-supplied membership probe (``Q|t(D) ≠ ∅ ⟺ t ∈ Q(D)``, so a
+    maintained answer set answers it in O(1) — the probe must track the
+    database the edits land in).
+    """
+    return _add(query, database, answer, split, rng, config, present)
+
+
 def crowd_add_missing_answer(
     query: Query,
     database: Database,
@@ -57,80 +83,92 @@ def crowd_add_missing_answer(
     config: Optional[InsertionConfig] = None,
     present: Optional[Callable[[], bool]] = None,
 ) -> list[Edit]:
-    """Algorithm 2: insert facts so that *answer* appears in ``Q(D)``.
+    """Algorithm 2: insert facts so that *answer* appears in ``Q(D)``,
+    asking *oracle* one question at a time.
 
     Mutates *database* and returns the applied insertion edits.  Raises
     :class:`InsertionError` if the crowd fails to provide any witness.
-
-    *present*, when given, replaces the loop guard ``Q|t(D) ≠ ∅`` with a
-    caller-supplied membership probe (``Q|t(D) ≠ ∅ ⟺ t ∈ Q(D)``, so a
-    maintained answer set answers it in O(1) — the probe must track the
-    database the edits land in).
+    *present* is the optional loop-guard probe of :func:`insertion_task`.
     """
     split = split if split is not None else ProvenanceSplit()
     rng = rng if rng is not None else random.Random()
     config = config if config is not None else InsertionConfig()
+    with _TELEMETRY.span("insertion.add_answer", split=split.__class__.__name__):
+        _TELEMETRY.count("insertion.invocations")
+        # ``_add``, not ``insertion_task``: instrumenting the public task
+        # entry point must not count this episode a second time.
+        return drive(
+            _add(query, database, answer, split, rng, config, present), oracle
+        )
+
+
+def _add(
+    query: Query,
+    database: Database,
+    answer: Answer,
+    split: SplitStrategy,
+    rng: random.Random,
+    config: InsertionConfig,
+    present: Optional[Callable[[], bool]],
+) -> Task:
     tel = _TELEMETRY
+    embedded = embed_answer(query, answer)
+    edits: list[Edit] = []
+    if present is None:
+        present = lambda: answer_present(embedded, database)  # noqa: E731
 
-    with tel.span("insertion.add_answer", split=split.__class__.__name__):
-        tel.count("insertion.invocations")
-        embedded = embed_answer(query, answer)
-        edits: list[Edit] = []
-        if present is None:
-            present = lambda: _answer_present(embedded, database)  # noqa: E731
+    # Lines 1-2: ground atoms of Q|t must hold in D_G — insert them.
+    for fact in ground_atoms(embedded):
+        if fact not in database:
+            edit = insert(fact)
+            edit.apply(database)
+            edits.append(edit)
+            tel.count("insertion.ground_inserts")
 
-        # Lines 1-2: ground atoms of Q|t must hold in D_G — insert them.
-        for fact in ground_atoms(embedded):
-            if fact not in database:
-                edit = insert(fact)
-                edit.apply(database)
-                edits.append(edit)
-                tel.count("insertion.ground_inserts")
-
-        if present():
-            return edits
-
-        queue: deque[Query] = deque(split.split(embedded, database, rng))
-        asked: set[frozenset] = set()
-        processed = 0
-
-        while queue and not present():
-            if processed >= config.max_subqueries:
-                break
-            # Most selective subquery first: the one with the fewest candidate
-            # assignments costs the fewest crowd questions to rule in or out.
-            index = min(
-                range(len(queue)),
-                key=lambda i: _candidate_count(
-                    queue[i], database, config.max_candidates_per_subquery
-                ),
-            )
-            queue.rotate(-index)
-            current = queue.popleft()
-            processed += 1
-            tel.count("insertion.subqueries_processed")
-            found = _try_subquery(
-                embedded, current, database, oracle, asked, config, edits
-            )
-            if found:
-                return edits
-            if split.can_split(current):
-                queue.extend(split.split(current, database, rng))
-
-        if present():
-            return edits
-
-        # Line 18: fall back to asking for a whole witness.
-        tel.count("insertion.fallback_completions")
-        full = oracle.complete_assignment(embedded, {})
-        if full is None:
-            raise InsertionError(f"crowd provided no witness for answer {answer!r}")
-        _insert_witness(embedded, full, database, edits)
+    if present():
         return edits
 
+    queue: deque[Query] = deque(split.split(embedded, database, rng))
+    asked: set[frozenset] = set()
+    processed = 0
 
-def _answer_present(embedded: Query, database: Database) -> bool:
-    """Loop guard ``Q|t(D) ≠ ∅``."""
+    while queue and not present():
+        if processed >= config.max_subqueries:
+            break
+        # Most selective subquery first: the one with the fewest candidate
+        # assignments costs the fewest crowd questions to rule in or out.
+        index = min(
+            range(len(queue)),
+            key=lambda i: _candidate_count(
+                queue[i], database, config.max_candidates_per_subquery
+            ),
+        )
+        queue.rotate(-index)
+        current = queue.popleft()
+        processed += 1
+        tel.count("insertion.subqueries_processed")
+        found = yield from _try_subquery(
+            embedded, current, database, asked, config, edits
+        )
+        if found:
+            return edits
+        if split.can_split(current):
+            queue.extend(split.split(current, database, rng))
+
+    if present():
+        return edits
+
+    # Line 18: fall back to asking for a whole witness.
+    tel.count("insertion.fallback_completions")
+    full = yield ("complete_assignment", embedded, {})
+    if full is None:
+        raise InsertionError(f"crowd provided no witness for answer {answer!r}")
+    _insert_witness(embedded, full, database, edits)
+    return edits
+
+
+def answer_present(embedded: Query, database: Database) -> bool:
+    """The loop guard ``Q|t(D) ≠ ∅`` of Algorithm 2, for ``Q|t`` = *embedded*."""
     return next(Evaluator(embedded, database).assignments(), None) is not None
 
 
@@ -148,12 +186,12 @@ def _try_subquery(
     embedded: Query,
     subquery: Query,
     database: Database,
-    oracle: AccountingOracle,
     asked: set[frozenset],
     config: InsertionConfig,
     edits: list[Edit],
-) -> bool:
-    """Lines 6-15: present the subquery's assignments as candidates.
+) -> Generator[Request, Any, bool]:
+    """Lines 6-15: present the subquery's assignments as candidates;
+    returns whether a witness was found and inserted.
 
     Candidates are ranked before the crowd sees them: the paper's
     premise is that ``D`` is mostly clean, so the candidate closest to a
@@ -186,13 +224,13 @@ def _try_subquery(
     for candidate in candidates[: config.max_candidates_per_subquery]:
         asked.add(frozenset(candidate.items()))
         _TELEMETRY.count("insertion.candidates_presented")
-        if not oracle.verify_candidate(embedded, candidate):
+        if not (yield ("verify_candidate", embedded, candidate)):
             continue
         if set(candidate) >= embedded_vars:
             # A total assignment of Q|t whose witness the crowd affirmed.
             _insert_witness(embedded, candidate, database, edits)
             return True
-        completion = oracle.complete_assignment(embedded, candidate)
+        completion = yield ("complete_assignment", embedded, candidate)
         if completion is not None:
             _insert_witness(embedded, completion, database, edits)
             return True

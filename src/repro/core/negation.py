@@ -42,7 +42,12 @@ from ..query.ast import Atom, Query, Var
 from ..query.evaluator import Answer, Evaluator, witness_of
 from ..query.subquery import embed_answer
 from .deletion import DeletionError
-from .insertion import InsertionConfig, InsertionError, crowd_add_missing_answer
+from .insertion import (
+    InsertionConfig,
+    InsertionError,
+    answer_present,
+    crowd_add_missing_answer,
+)
 from .split import SplitStrategy
 
 
@@ -204,15 +209,11 @@ def add_missing_answer_with_negation(
     edits += crowd_add_missing_answer(
         query, database, answer, oracle, split=split, rng=rng, config=config
     )
-    if _answer_present(embedded, database):
+    if answer_present(embedded, database):
         return edits
     if _try_unblock(embedded, database, oracle, edits, max_blocker_candidates):
         return edits
     raise InsertionError(f"could not add answer {answer!r} under negation")
-
-
-def _answer_present(embedded: Query, database: Database) -> bool:
-    return next(Evaluator(embedded, database).assignments(), None) is not None
 
 
 def _positive_part(embedded: Query) -> Query:
@@ -255,7 +256,7 @@ def _try_unblock(
     cap: int,
 ) -> bool:
     """Find a positive-supported assignment whose blockers are false."""
-    if _answer_present(embedded, database):
+    if answer_present(embedded, database):
         return True
     positive = _positive_part(embedded)
     count = 0
@@ -275,7 +276,7 @@ def _try_unblock(
                 edit = delete(blocker)
                 edit.apply(database)
                 edits.append(edit)
-        if _answer_present(embedded, database):
+        if answer_present(embedded, database):
             return True
     return False
 

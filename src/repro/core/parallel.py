@@ -7,173 +7,43 @@ foreach loops, in both deletion and insertion components.  We verify the
 correctness of all tuples in Q(D) at the same time, or post together
 multiple completion questions."
 
-This module restructures Algorithms 1-3 into *rounds*: every active task
-(one per wrong/missing answer) contributes its next question to the
-round, the whole round is posted to the crowd together, and the answers
-advance every task at once.  The number of rounds is the wall-clock
-proxy (each round costs one crowd latency regardless of how many
-questions it carries) — the quantity the crowd simulator prices.
+This module groups the questions of Algorithms 1-3 into *rounds*: every
+active task (one per wrong/missing answer) contributes its next question
+to the round, the whole round is posted to the crowd together, and the
+answers advance every task at once.  The number of rounds is the
+wall-clock proxy (each round costs one crowd latency regardless of how
+many questions it carries) — the quantity the crowd simulator prices.
 
-Tasks are cooperative generators yielding question requests:
+The tasks *are* Algorithms 1 and 2 — :func:`removal_task` and
+:func:`insertion_task`, the same generators the sequential cleaner
+drives one question at a time — so both loops ask the same questions.
+They yield the requests of :mod:`repro.core.tasks`:
 
-* ``("verify_fact", fact)``                → bool
-* ``("verify_candidate", query, partial)`` → bool
-* ``("complete", query, partial)``         → assignment or None
-* ``("remember", fact, value)``            → None (free inference, no slot)
+* ``("verify_fact", fact)``                   → bool
+* ``("verify_candidate", query, partial)``    → bool
+* ``("complete_assignment", query, partial)`` → assignment or None
+* ``("remember", fact, value)``               → None (free inference, no slot)
+
+and the main loop adds ``verify_answer`` and ``complete_result`` waves.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from ..db.database import Database
-from ..db.edits import Edit, delete, insert
+from ..db.edits import Edit
 from ..oracle.base import AccountingOracle
 from ..query.ast import Query
-from ..query.backend import BackendEvaluator, NaiveBackend, resolve_backend
-from ..query.evaluator import Answer, Evaluator, answer_to_partial
+from ..query.evaluator import Answer
 from ..query.incremental import IncrementalAnswers, supports_incremental
-from ..query.subquery import embed_answer, ground_atoms
 from ..telemetry import TELEMETRY as _TELEMETRY
-from .deletion import DeletionError
-from .insertion import (
-    InsertionConfig,
-    InsertionError,
-    _candidate_count,
-    _insert_witness,
-    _near_witness_score,
-)
-from .qoco import QOCOConfig, resolve_config, resolve_planner
-from .registry import REGISTRY
+from .deletion import DeletionError, removal_task
+from .insertion import InsertionError, insertion_task
+from .qoco import QOCO, QOCOConfig
 from .report import Report
-from .split import SplitStrategy
-
-Request = tuple
-Task = Generator[Request, object, list[Edit]]
-
-
-# ---------------------------------------------------------------------------
-# task generators
-# ---------------------------------------------------------------------------
-
-
-def removal_task(witnesses: list[frozenset]) -> Task:
-    """Algorithm 1 as a round-per-question generator."""
-    sets = list(witnesses)
-    edits: list[Edit] = []
-    from ..provenance.witness import most_frequent_fact
-
-    while sets:
-        # singleton inference (Theorem 4.5) — free, no crowd slot
-        singles = sorted({next(iter(s)) for s in sets if len(s) == 1}, key=repr)
-        if singles:
-            for fact in singles:
-                edits.append(delete(fact))
-                yield ("remember", fact, False)
-            sets = [s for s in sets if not (s & set(singles))]
-            continue
-        if any(not s for s in sets):
-            raise DeletionError("a witness's facts were all deemed true")
-        fact = most_frequent_fact(sets)
-        truthful = yield ("verify_fact", fact)
-        if truthful:
-            sets = [s - {fact} for s in sets]
-            if any(not s for s in sets):
-                raise DeletionError("a witness's facts were all deemed true")
-        else:
-            edits.append(delete(fact))
-            sets = [s for s in sets if fact not in s]
-    return edits
-
-
-def insertion_task(
-    query: Query,
-    database: Database,
-    answer: Answer,
-    split: SplitStrategy,
-    rng: random.Random,
-    config: InsertionConfig,
-) -> Task:
-    """Algorithm 2 as a round-per-question generator.
-
-    Mutates *database* when the witness is determined (the same shared-
-    database semantics as the sequential algorithm).
-    """
-    from collections import deque
-
-    embedded = embed_answer(query, answer)
-    edits: list[Edit] = []
-    for fact in ground_atoms(embedded):
-        if fact not in database:
-            edit = insert(fact)
-            edit.apply(database)
-            edits.append(edit)
-
-    def present() -> bool:
-        return next(Evaluator(embedded, database).assignments(), None) is not None
-
-    if present():
-        return edits
-
-    queue = deque(split.split(embedded, database, rng))
-    asked: set[frozenset] = set()
-    processed = 0
-    embedded_vars = embedded.variables()
-
-    while queue and not present():
-        if processed >= config.max_subqueries:
-            break
-        index = min(
-            range(len(queue)),
-            key=lambda i: _candidate_count(
-                queue[i], database, config.max_candidates_per_subquery
-            ),
-        )
-        queue.rotate(-index)
-        current = queue.popleft()
-        processed += 1
-
-        candidates = []
-        seen_here: set[frozenset] = set()
-        for assignment in Evaluator(current, database).assignments():
-            candidate = {v: c for v, c in assignment.items() if v in embedded_vars}
-            key = frozenset(candidate.items())
-            if key in asked or key in seen_here:
-                continue
-            seen_here.add(key)
-            candidates.append(candidate)
-            if len(candidates) >= 4 * config.max_candidates_per_subquery:
-                break
-        candidates.sort(
-            key=lambda c: (
-                -_near_witness_score(embedded, c, database),
-                repr(sorted(c.items(), key=repr)),
-            )
-        )
-        for candidate in candidates[: config.max_candidates_per_subquery]:
-            asked.add(frozenset(candidate.items()))
-            affirmed = yield ("verify_candidate", embedded, candidate)
-            if not affirmed:
-                continue
-            if set(candidate) >= embedded_vars:
-                _insert_witness(embedded, candidate, database, edits)
-                return edits
-            completion = yield ("complete", embedded, candidate)
-            if completion is not None:
-                _insert_witness(embedded, completion, database, edits)
-                return edits
-        if split.can_split(current):
-            queue.extend(split.split(current, database, rng))
-
-    if present():
-        return edits
-    completion = yield ("complete", embedded, {})
-    if completion is None:
-        raise InsertionError(f"crowd provided no witness for {answer!r}")
-    _insert_witness(embedded, completion, database, edits)
-    return edits
+from .tasks import Request, Task, ask
 
 
 def _metered_task(task: Task, callback: Callable[[int, int], None]) -> Task:
@@ -256,24 +126,16 @@ class RoundScheduler:
         overrides this to route the whole round through the live
         dispatch engine (workers, latency, faults, dedup, budgets).
         """
-        return [self._answer(request) for request in requests]
+        return [ask(self.oracle, request) for request in requests]
 
     # -- internals -------------------------------------------------------
     def _advance(self, item: _Running, answer) -> None:
         try:
-            while True:
-                request = (
-                    item.task.send(answer) if answer is not None or item.pending
-                    else next(item.task)
-                )
-                if request[0] == "remember":
-                    _, fact, value = request
-                    self.oracle.remember_fact(fact, value)
-                    answer = None
-                    item.pending = ("remember",)  # mark as mid-task
-                    continue
-                item.pending = request
-                return
+            request = item.task.send(answer)
+            while request[0] == "remember":
+                ask(self.oracle, request)
+                request = item.task.send(None)
+            item.pending = request
         except StopIteration as stop:
             item.pending = None
             item.result = stop.value if stop.value is not None else []
@@ -281,33 +143,20 @@ class RoundScheduler:
             item.pending = None
             item.failed = True
 
-    def _answer(self, request: Request):
-        kind = request[0]
-        if kind == "verify_fact":
-            return self.oracle.verify_fact(request[1])
-        if kind == "verify_candidate":
-            return self.oracle.verify_candidate(request[1], request[2])
-        if kind == "complete":
-            return self.oracle.complete_assignment(request[1], request[2])
-        if kind == "verify_answer":
-            return self.oracle.verify_answer(request[1], request[2])
-        if kind == "complete_result":
-            return self.oracle.complete_result(request[1], request[2])
-        raise ValueError(f"unknown request {request!r}")
-
 
 # ---------------------------------------------------------------------------
 # the parallel main loop
 # ---------------------------------------------------------------------------
 
 
-class ParallelQOCO:
+class ParallelQOCO(QOCO):
     """Algorithm 3 with the Appendix-B parallel modifications.
 
     Configured by the same :class:`~repro.core.qoco.QOCOConfig` as the
     sequential loop (third positional argument); keyword arguments
     (``split=``, ``completion_width=``, ...) override the corresponding
-    config fields.
+    config fields.  Strategies, backend and the maintained-answer probes
+    are the sequential loop's; only the scheduling differs.
     """
 
     def __init__(
@@ -317,25 +166,11 @@ class ParallelQOCO:
         config: Optional[QOCOConfig] = None,
         **overrides,
     ) -> None:
-        self.database = database
-        self.oracle = (
-            oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
-        )
-        self.config = resolve_config(config, **overrides)
-        self.backend = resolve_backend(self.config.backend)
-        self.split_strategy: SplitStrategy = REGISTRY.resolve(
-            "split", self.config.split
-        )
-        self.planner = resolve_planner(self.config.planner, seed=self.config.seed)
-        self.insertion_config = self.config.insertion
+        super().__init__(database, oracle, config, **overrides)
         self.completion_width = self.config.completion_width
-        self.max_iterations = self.config.max_iterations
-        self.rng = random.Random(self.config.seed)
-        self.use_incremental = self.config.use_incremental
         #: builds the round scheduler for one clean() — the seam where
         #: repro.dispatch plugs in its live engine (workers/faults/budgets)
         self.scheduler_factory = self.config.scheduler_factory or RoundScheduler
-        self._engine: Optional[IncrementalAnswers] = None
 
     def clean(self, query: Query) -> Report:
         report = Report(query_name=query.name, log=self.oracle.log)
@@ -343,7 +178,7 @@ class ParallelQOCO:
         verified: set[Answer] = set()
         try:
             with _TELEMETRY.span("parallel.clean", query=query.name):
-                if self.use_incremental and supports_incremental(query):
+                if self.config.use_incremental and supports_incremental(query):
                     self._engine = IncrementalAnswers(
                         query, self.database, evaluator_factory=self._make_evaluator
                     )
@@ -370,7 +205,7 @@ class ParallelQOCO:
     ) -> None:
         first = True
         while first or (self._answers(query) - verified):
-            if report.iterations >= self.max_iterations:
+            if report.iterations >= self.config.max_iterations:
                 report.converged = False
                 break
             first = False
@@ -405,7 +240,14 @@ class ParallelQOCO:
                         witnesses = list(engine.witnesses(answer))
                     else:
                         witnesses = [frozenset(w) for w in evaluator.witnesses(answer)]
-                    tasks.append(removal_task(witnesses))
+                    tasks.append(
+                        removal_task(
+                            witnesses,
+                            self.deletion_strategy,
+                            self.rng,
+                            self.oracle.known_fact_value,
+                        )
+                    )
                 for answer, edits in zip(wrong, scheduler.run(tasks)):
                     if edits is None:
                         report.converged = False
@@ -418,7 +260,7 @@ class ParallelQOCO:
             # Waves 3+4, repeated: post `completion_width` completion
             # questions together, insert the found answers in parallel,
             # until a wave comes back empty.
-            for _ in range(self.max_iterations * 4):
+            for _ in range(self.config.max_iterations * 4):
                 missing: list[Answer] = []
                 known = set(self._answers(query))
                 posted = 0
@@ -443,7 +285,8 @@ class ParallelQOCO:
                         split = choice.strategy
                     task = insertion_task(
                         query, self.database, answer, split,
-                        self.rng, self.insertion_config,
+                        self.rng, self.config.insertion,
+                        present=self._present_probe(query, answer),
                     )
                     if self.planner is not None:
                         # The parallel scheduler batches oracle calls, so
@@ -463,23 +306,3 @@ class ParallelQOCO:
                     report.edits += edits
                     report.missing_answers_added.append(answer)
                     verified.add(answer)
-
-    def _make_evaluator(self, query: Query, database: Database):
-        """An evaluator on the configured backend (see QOCO)."""
-        if isinstance(self.backend, NaiveBackend):
-            return Evaluator(query, database)
-        return BackendEvaluator(query, database, self.backend)
-
-    def _answers(self, query: Query) -> set[Answer]:
-        if self._engine is not None and self._engine.query is query:
-            return self._engine.answers()
-        return self.backend.evaluate(query, self.database)
-
-    def _answer_alive(self, query: Query, answer: Answer) -> bool:
-        """Targeted ``answer ∈ Q(D)`` membership check (see QOCO)."""
-        if self._engine is not None and self._engine.query is query:
-            return answer in self._engine
-        partial = answer_to_partial(query, answer)
-        if partial is None:
-            return False
-        return self.backend.is_satisfiable(query, self.database, partial)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
 from ..db.database import Database
+from ..db.edits import Edit
 from ..oracle.base import AccountingOracle, Oracle
 from ..oracle.enumeration import Chao92Estimator, CompletionEstimator, ExactCompletion
 from ..query.ast import Query
@@ -269,6 +270,19 @@ class QOCO:
             return False
         return self.backend.is_satisfiable(query, self.database, partial)
 
+    def _present_probe(
+        self, query: Query, answer: Answer
+    ) -> Optional[Callable[[], bool]]:
+        """Algorithm 2's loop guard for *answer*, or ``None`` to let it
+        evaluate ``Q|t(D) ≠ ∅`` itself (no engine for this query).
+
+        ``Q|t(D) ≠ ∅ ⟺ t ∈ Q(D)``: with a maintained answer set the guard
+        becomes an O(1) membership probe."""
+        engine = self._engine
+        if engine is None or engine.query is not query:
+            return None
+        return lambda: answer in engine
+
     def _witnesses(self, query: Query, answer: Answer) -> Optional[list[frozenset]]:
         """Maintained witness sets for *answer*, or ``None`` to let
         Algorithm 1 enumerate them itself (no engine for this query)."""
@@ -327,12 +341,6 @@ class QOCO:
                 continue
             if missing in current:
                 continue  # the crowd named an answer we already have
-            # ``Q|t(D) ≠ ∅ ⟺ t ∈ Q(D)``: with a maintained answer set the
-            # loop guard of Algorithm 2 becomes an O(1) membership probe.
-            present = None
-            if self._engine is not None and self._engine.query is query:
-                engine = self._engine
-                present = lambda m=missing: m in engine  # noqa: E731
             split = self.split_strategy
             choice = None
             if self.planner is not None:
@@ -340,6 +348,7 @@ class QOCO:
                 split = choice.strategy
             cost_before = self.oracle.log.total_cost
             questions_before = self.oracle.log.question_count
+            edits: Optional[list[Edit]] = None
             try:
                 edits = crowd_add_missing_answer(
                     query,
@@ -349,23 +358,18 @@ class QOCO:
                     split=split,
                     rng=self.rng,
                     config=self.config.insertion,
-                    present=present,
+                    present=self._present_probe(query, missing),
                 )
             except InsertionError:
                 report.converged = False
-                if choice is not None:
-                    self.planner.observe(
-                        choice,
-                        cost=self.oracle.log.total_cost - cost_before,
-                        questions=self.oracle.log.question_count - questions_before,
-                    )
-                continue
             if choice is not None:
                 self.planner.observe(
                     choice,
                     cost=self.oracle.log.total_cost - cost_before,
                     questions=self.oracle.log.question_count - questions_before,
                 )
+            if edits is None:
+                continue
             report.edits += edits
             report.missing_answers_added.append(missing)
             verified.add(missing)

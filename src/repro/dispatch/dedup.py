@@ -23,13 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Hashable, Optional
 
-from ..oracle.questions import QuestionKind
-
-#: Request kinds (as yielded by the round scheduler's tasks) that are
-#: closed questions and therefore safe to coalesce structurally.
-_CLOSED_REQUEST_KINDS = frozenset(
-    {"verify_fact", "verify_answer", "verify_candidate"}
-)
+from ..oracle.questions import VOTED_KINDS, QuestionKind
 
 
 def question_key(request: tuple) -> Optional[Hashable]:
@@ -41,7 +35,7 @@ def question_key(request: tuple) -> Optional[Hashable]:
     never alias two distinct questions.
     """
     kind = request[0]
-    if kind not in _CLOSED_REQUEST_KINDS:
+    if kind not in VOTED_KINDS:
         return None
     if kind == "verify_fact":
         return ("verify_fact", request[1])

@@ -411,7 +411,7 @@ class DispatchEngine:
                 commit=lambda v: None,
                 cost=lambda v: 1,
             )
-        if kind == "complete":
+        if kind == "complete_assignment":
             _, query, partial = request
             return _Spec(
                 QuestionKind.COMPLETE_ASSIGNMENT, False, query.name,

@@ -46,6 +46,13 @@ CLOSED_KINDS = frozenset(
     }
 )
 
+#: The closed kinds whose reply is one boolean, by request-kind string:
+#: the questions a crowd votes on and a dispatcher may coalesce by
+#: structural key (a composite ``verify_facts`` reply maps each fact).
+VOTED_KINDS = frozenset(
+    kind.value for kind in CLOSED_KINDS if kind is not QuestionKind.VERIFY_FACTS
+)
+
 #: Kinds that are open questions (tasks).
 OPEN_KINDS = frozenset(
     {QuestionKind.COMPLETE_ASSIGNMENT, QuestionKind.COMPLETE_RESULT}

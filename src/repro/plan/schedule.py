@@ -20,35 +20,24 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-#: Relative crowd price per question kind — closed (yes/no) questions
-#: are cheap, open (fill-in) questions cost more.  Mirrors the default
-#: open/closed cost ratio of the accounting oracle.
+from ..oracle.questions import CLOSED_KINDS, QuestionKind
+
+#: Relative crowd price per question kind (the broker's kind strings,
+#: i.e. :class:`~repro.oracle.questions.QuestionKind` values) — closed
+#: (yes/no) questions are cheap, open (fill-in) questions cost more.
+#: Mirrors the default open/closed cost ratio of the accounting oracle.
 DEFAULT_KIND_COSTS: dict[str, float] = {
-    "verify_fact": 1.0,
-    "verify_answer": 1.0,
-    "verify_candidate": 1.0,
-    "complete": 2.0,
-    "complete_result": 2.0,
+    kind.value: 1.0 if kind in CLOSED_KINDS else 2.0 for kind in QuestionKind
 }
 
 
 class CapacityScheduler:
-    """Scores broker questions: highest sessions-unblocked per unit cost.
+    """Scores broker questions: highest sessions-unblocked per unit cost."""
 
-    *cost_model* (optional, duck-typed ``estimate(signature)``) lets the
-    planner's learned per-shape costs sharpen the denominator when the
-    question payload carries a query.
-    """
-
-    def __init__(
-        self,
-        kind_costs: Optional[Mapping[str, float]] = None,
-        cost_model: Any = None,
-    ) -> None:
+    def __init__(self, kind_costs: Optional[Mapping[str, float]] = None) -> None:
         self.kind_costs = dict(DEFAULT_KIND_COSTS)
         if kind_costs:
             self.kind_costs.update(kind_costs)
-        self.cost_model = cost_model
 
     def score(self, question: Any, now: float) -> float:
         """Bigger = lease sooner.  Reads broker ``_Question`` attributes
@@ -56,24 +45,10 @@ class CapacityScheduler:
         subscribers = max(1, int(getattr(question, "subscribers", 1)))
         priority = float(getattr(question, "priority", 1.0))
         kind_cost = self.kind_costs.get(getattr(question, "kind", ""), 1.0)
-        if self.cost_model is not None:
-            kind_cost += self._episode_cost(question)
         votes_needed = int(getattr(question, "votes_needed", 1))
         votes_have = len(getattr(question, "votes", ()) or ())
         remaining = max(1, votes_needed - votes_have)
         return (subscribers * priority) / (kind_cost * remaining)
-
-    def _episode_cost(self, question: Any) -> float:
-        payload = getattr(question, "payload", None)
-        query = payload[0] if isinstance(payload, tuple) and payload else None
-        if query is None:
-            return 0.0
-        try:
-            from .signature import query_signature
-
-            return float(self.cost_model.estimate(query_signature(query)))
-        except Exception:
-            return 0.0
 
 
 __all__ = ["CapacityScheduler", "DEFAULT_KIND_COSTS"]

@@ -158,6 +158,7 @@ class IncrementalAnswers(DatabaseListener):
         self._witness_support: dict[Answer, Counter] = {}
         self._version = -1
         self._pending: list[Assignment] = []
+        self._using: tuple = (None, [])
         self._subscribed = False
         if subscribe:
             database.subscribe(self)
@@ -204,6 +205,19 @@ class IncrementalAnswers(DatabaseListener):
             return []
         return sorted(counter, key=lambda w: sorted(map(repr, w)))
 
+    def assignments_using(self, fact: Fact) -> list[Assignment]:
+        """Distinct valid assignments, in the database's current state,
+        whose witness uses *fact* (see :func:`assignments_using_fact`).
+
+        Remembered for one (database version, fact), so a caller that
+        reports an edit's delta — before a delete, after an insert —
+        shares one enumeration with the delta rule maintaining it.
+        """
+        key = (self.database.version, fact)
+        if self._using[0] != key:
+            self._using = (key, assignments_using_fact(self._evaluator, fact))
+        return self._using[1]
+
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -246,7 +260,7 @@ class IncrementalAnswers(DatabaseListener):
         else:
             # Assignments whose witness uses the doomed fact — they must
             # be enumerated while the fact is still present.
-            self._pending = assignments_using_fact(self._evaluator, edit.fact)
+            self._pending = self.assignments_using(edit.fact)
 
     def after_change(self, database: Database, edit: Edit) -> None:
         if self._version != database.version - 1:
@@ -256,7 +270,7 @@ class IncrementalAnswers(DatabaseListener):
             return
         lost, self._pending = self._pending, []
         if edit.kind is EditKind.INSERT:
-            gained = assignments_using_fact(self._evaluator, edit.fact)
+            gained = self.assignments_using(edit.fact)
         else:
             # Assignments valid now that only the deleted fact blocked.
             gained = self._negation_affected(edit.fact)

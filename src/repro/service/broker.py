@@ -53,12 +53,11 @@ from ..db.tuples import Constant, Fact
 from ..dispatch.dedup import question_key, similarity_class
 from ..dispatch.policy import FALLBACKS, RetryPolicy, majority
 from ..oracle.base import Oracle
+from ..oracle.questions import VOTED_KINDS
 from ..query.ast import Query, Var
 from ..query.evaluator import Answer, Assignment
 from ..shard import wire
 from ..telemetry import TELEMETRY as _TELEMETRY
-
-_CLOSED_KINDS = frozenset({"verify_fact", "verify_answer", "verify_candidate"})
 
 
 @dataclass
@@ -220,7 +219,7 @@ class QuestionBroker:
                 kind=kind,
                 payload=payload,
                 key=key,
-                votes_needed=self.votes_per_closed if kind in _CLOSED_KINDS else 1,
+                votes_needed=self.votes_per_closed if kind in VOTED_KINDS else 1,
                 priority=priority,
                 ckey=ckey,
             )
@@ -399,7 +398,7 @@ class QuestionBroker:
     # ------------------------------------------------------------------
     def _tally(self, question: _Question) -> Any:
         """Majority verdict for closed questions; first vote for open."""
-        if question.kind not in _CLOSED_KINDS:
+        if question.kind not in VOTED_KINDS:
             return question.votes[0][1]
         return majority(value for _worker, value in question.votes)
 

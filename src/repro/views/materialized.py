@@ -6,15 +6,14 @@ reported in a view, QOCO can take over..."  Serving views means keeping
 them materialized, and cleaning means editing base tables — so the views
 must track edits without full recomputation.
 
-:class:`MaterializedView` keeps, per answer, its *support* — the number
-of valid assignments producing it.  Deltas are computed from the changed
-fact alone:
-
-* inserting fact ``f``: the new assignments are exactly those valid
-  assignments whose witness uses ``f`` (for each body atom unifiable
-  with ``f``, bind it and enumerate extensions; deduplicate across
-  atoms);
-* deleting ``f``: symmetric, enumerated *before* the fact is removed.
+:class:`MaterializedView` keeps its answers with
+:class:`~repro.query.incremental.IncrementalAnswers`, the delta rules the
+cleaners use: subscribed to the database's edit hook, it stays exact
+under every mutation path, negated atoms included.  ``on_insert`` /
+``on_delete`` report the answers an edit makes appear / disappear,
+computed from the changed fact alone: the answers of the valid
+assignments whose witness uses the fact (enumerated after an insert
+lands, before a delete leaves) that have no other assignment.
 
 ``incremental == recompute`` is property-tested over random edit
 sequences, and a benchmark shows the speedup on the 5k-tuple database.
@@ -29,13 +28,8 @@ from ..db.database import Database
 from ..db.edits import Edit, EditKind
 from ..db.tuples import Fact
 from ..query.ast import Query
-from ..query.evaluator import (
-    Answer,
-    Assignment,
-    Evaluator,
-    instantiate_head,
-)
-from ..query.incremental import assignments_using_fact
+from ..query.evaluator import Answer, query_plan
+from ..query.incremental import IncrementalAnswers
 from ..telemetry import TELEMETRY as _TELEMETRY
 
 
@@ -43,58 +37,62 @@ class MaterializedView:
     """One query kept materialized over a database.
 
     The view keeps a shadow set of the facts it has accounted for (only
-    for relations the query body mentions), which makes the delta path
-    robust against *no-op edits*: ``on_insert`` of a fact that is
-    already accounted, or ``on_delete`` of a fact never seen, returns an
-    empty delta instead of silently drifting the support counters.
+    for relations the query reads, negated atoms included), which makes
+    the delta reports robust against *no-op edits*: ``on_insert`` of a
+    fact that is already accounted, or ``on_delete`` of a fact never
+    seen, returns an empty delta.
+
+    The reports are exact unless the changed relation is read both
+    positively and under negation (an edit can then add and remove
+    assignments of one answer at once); :meth:`answers` is exact always.
     """
 
     def __init__(self, query: Query, database: Database) -> None:
-        query.validate(database.schema)
         self.query = query
         self.database = database
-        self._relations = {atom.relation for atom in query.atoms}
-        self._support: Counter = Counter()
-        self._accounted: set[Fact] = set()
-        self.refresh()
+        self._relations = {atom.relation for atom in query.atoms} | {
+            atom.relation for atom in query.negated_atoms
+        }
+        self._engine = IncrementalAnswers(query, database)
+        self._accounted = self._facts_read()
+        _TELEMETRY.count("view.refreshes")
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def answers(self) -> set[Answer]:
-        return set(self._support)
+        return self._engine.answers()
 
     def support(self, answer: Answer) -> int:
         """Number of valid assignments currently producing *answer*."""
-        return self._support.get(answer, 0)
+        return self._engine.support(answer)
 
     def __contains__(self, answer: object) -> bool:
-        return answer in self._support
+        return answer in self._engine
 
     def __len__(self) -> int:
-        return len(self._support)
+        return len(self._engine)
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Full recomputation (used at construction and as a fallback)."""
+        """Full recomputation (a manual resync)."""
         _TELEMETRY.count("view.refreshes")
-        self._support = Counter()
-        self._accounted = set()
-        for relation in self._relations:
-            self._accounted.update(self.database.facts(relation))
-        for assignment in Evaluator(self.query, self.database).assignments():
-            self._support[instantiate_head(self.query, assignment)] += 1
+        self._engine.refresh()
+        self._accounted = self._facts_read()
+
+    def close(self) -> None:
+        """Detach from the database's edit hook (idempotent)."""
+        self._engine.close()
 
     def on_insert(self, fact: Fact) -> set[Answer]:
-        """Account for *fact* having just been inserted into the database.
+        """Report the answers that *fact*, just inserted, made appear.
 
-        Returns the answers that newly appeared.  A no-op edit — a fact
-        this view already accounted for (e.g. re-inserting an existing
-        fact), a fact of a relation the query never reads, or a fact
-        that is not actually in the database (the insert never landed) —
-        returns an empty delta and leaves the supports untouched.
+        A no-op edit — a fact this view already accounted for (e.g.
+        re-inserting an existing fact), a fact of a relation the query
+        never reads, or a fact that is not actually in the database (the
+        insert never landed) — returns an empty delta.
         """
         if (
             fact.relation not in self._relations
@@ -104,52 +102,43 @@ class MaterializedView:
             _TELEMETRY.count("view.noop_edits")
             return set()
         self._accounted.add(fact)
-        added: set[Answer] = set()
-        assignments = self._assignments_using(fact)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.observe("view.delta_size", len(assignments))
-        for assignment in assignments:
-            answer = instantiate_head(self.query, assignment)
-            if self._support[answer] == 0:
-                added.add(answer)
-            self._support[answer] += 1
-        return added
+        return self._sole_answers(fact)
 
     def on_delete(self, fact: Fact) -> set[Answer]:
-        """Account for *fact* being deleted.  **Call before removing it**
-        from the database (the lost assignments must still be enumerable).
+        """Report the answers that deleting *fact* makes disappear.
+        **Call before removing it** from the database (the lost
+        assignments must still be enumerable).
 
-        Returns the answers that disappeared.  Deleting a fact this view
-        never accounted for (absent fact, untracked relation, repeated
-        delete) is a no-op: empty delta, supports untouched — support
-        counters can never go negative.
+        Deleting a fact this view never accounted for (absent fact,
+        untracked relation, repeated delete) is a no-op: empty delta.
         """
         if fact.relation not in self._relations or fact not in self._accounted:
             _TELEMETRY.count("view.noop_edits")
             return set()
         self._accounted.discard(fact)
-        removed: set[Answer] = set()
-        assignments = self._assignments_using(fact)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.observe("view.delta_size", len(assignments))
-        for assignment in assignments:
-            answer = instantiate_head(self.query, assignment)
-            current = self._support.get(answer, 0)
-            if current == 0:
-                continue  # drift guard: never drive a support negative
-            if current == 1:
-                del self._support[answer]
-                removed.add(answer)
-            else:
-                self._support[answer] = current - 1
-        return removed
+        return self._sole_answers(fact)
 
     # ------------------------------------------------------------------
     # deltas
     # ------------------------------------------------------------------
-    def _assignments_using(self, fact: Fact) -> list[Assignment]:
-        """Distinct valid assignments whose witness includes *fact*."""
-        return assignments_using_fact(Evaluator(self.query, self.database), fact)
+    def _facts_read(self) -> set[Fact]:
+        facts: set[Fact] = set()
+        for relation in self._relations:
+            facts.update(self.database.facts(relation))
+        return facts
+
+    def _sole_answers(self, fact: Fact) -> set[Answer]:
+        """Answers all of whose valid assignments use *fact*."""
+        assignments = self._engine.assignments_using(fact)
+        if _TELEMETRY.enabled:
+            _TELEMETRY.observe("view.delta_size", len(assignments))
+        plan = query_plan(self.query)
+        uses = Counter(plan.answer(assignment) for assignment in assignments)
+        return {
+            answer
+            for answer, count in uses.items()
+            if count == self._engine.support(answer)
+        }
 
 
 class ViewManager:

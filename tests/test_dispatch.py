@@ -231,7 +231,7 @@ class TestQuestionKey:
         assert a == b
 
     def test_open_kinds_never_keyed(self):
-        assert question_key(("complete", EX1, {})) is None
+        assert question_key(("complete_assignment", EX1, {})) is None
         assert question_key(("complete_result", EX1, frozenset())) is None
 
     def test_keys_are_value_based(self, fig1_gt):
@@ -460,7 +460,7 @@ class TestEngineBudgets:
                 ("verify_fact", fact("teams", "ESP", "EU")),
                 ("verify_answer", EX1, ("GER",)),
                 ("verify_candidate", EX1, {Var("x"): "GER"}),
-                ("complete", EX1, {}),
+                ("complete_assignment", EX1, {}),
                 ("complete_result", EX1, frozenset()),
             ]
         )

@@ -358,6 +358,14 @@ class TestCapacityScheduler:
         open_.kind = "complete_result"
         assert sched.score(closed, 0.0) > sched.score(open_, 0.0)
 
+    def test_broker_completion_questions_priced_as_open(self):
+        # broker questions carry QuestionKind values: COMPL(alpha, Q) is
+        # "complete_assignment", an open question priced 2.0
+        sched = CapacityScheduler()
+        broker = QuestionBroker()
+        question = broker.submit("complete_assignment", {}, None)
+        assert sched.score(question, 0.0) == pytest.approx(1.0 / 2.0)
+
     def test_broker_lease_is_fifo_without_scheduler(self):
         broker = QuestionBroker()
         first = broker.submit("verify_fact", {}, None, priority=1.0)

@@ -212,6 +212,44 @@ class TestNoOpEditDrift:
         assert view.answers() == evaluate(QUERY, db)
 
 
+class TestNegation:
+    """Regression: edits to a negated relation must reach the view."""
+
+    QUERY = parse_query("q(a) :- r(a, b), not s(b).")
+
+    def test_insert_into_negated_relation_revokes_answer(self, schema):
+        db = Database(schema, [fact("r", 1, 2), fact("r", 3, 4)])
+        manager = ViewManager(db)
+        view = manager.register(self.QUERY)
+        assert view.answers() == {(1,), (3,)}
+        assert manager.insert(fact("s", 2)) == {"q": set()}
+        assert view.answers() == evaluate(self.QUERY, db) == {(3,)}
+
+    def test_delete_from_negated_relation_restores_answer(self, schema):
+        db = Database(schema, [fact("r", 1, 2), fact("r", 3, 4), fact("s", 2)])
+        manager = ViewManager(db)
+        view = manager.register(self.QUERY)
+        assert view.answers() == {(3,)}
+        manager.delete(fact("s", 2))
+        assert view.answers() == evaluate(self.QUERY, db) == {(1,), (3,)}
+
+    def test_random_edit_sequences(self, schema):
+        rng = random.Random(17)
+        db = Database(schema)
+        manager = ViewManager(db)
+        view = manager.register(self.QUERY)
+        pool = [fact("r", a, b) for a in range(3) for b in range(3)] + [
+            fact("s", b) for b in range(3)
+        ]
+        for _ in range(200):
+            victim = rng.choice(pool)
+            if rng.random() < 0.5:
+                manager.insert(victim)
+            else:
+                manager.delete(victim)
+            assert view.answers() == evaluate(self.QUERY, db)
+
+
 class TestIncrementalMatchesRecompute:
     def test_random_edit_sequences(self, schema):
         rng = random.Random(13)
