@@ -25,11 +25,12 @@ from ..db.database import Database
 from ..db.edits import Edit, delete
 from ..db.tuples import Fact
 from ..oracle.base import AccountingOracle
+from ..oracle.questions import Request
 from ..provenance.witness import most_frequent_fact
 from ..query.ast import Query
 from ..query.evaluator import Answer, Evaluator
 from ..telemetry import TELEMETRY as _TELEMETRY
-from .tasks import Request, Task, drive
+from .tasks import Task, drive
 
 
 class DeletionError(RuntimeError):

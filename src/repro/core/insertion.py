@@ -20,12 +20,13 @@ from typing import Any, Callable, Generator, Optional
 from ..db.database import Database
 from ..db.edits import Edit, insert
 from ..oracle.base import AccountingOracle
+from ..oracle.questions import Request
 from ..query.ast import Query
 from ..query.evaluator import Answer, Assignment, Evaluator, query_plan, witness_of
 from ..query.subquery import embed_answer, ground_atoms
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .split import ProvenanceSplit, SplitStrategy
-from .tasks import Request, Task, drive
+from .tasks import Task, drive
 
 
 class InsertionError(RuntimeError):

@@ -16,15 +16,10 @@ many questions it carries) — the quantity the crowd simulator prices.
 
 The tasks *are* Algorithms 1 and 2 — :func:`removal_task` and
 :func:`insertion_task`, the same generators the sequential cleaner
-drives one question at a time — so both loops ask the same questions.
-They yield the requests of :mod:`repro.core.tasks`:
-
-* ``("verify_fact", fact)``                   → bool
-* ``("verify_candidate", query, partial)``    → bool
-* ``("complete_assignment", query, partial)`` → assignment or None
-* ``("remember", fact, value)``               → None (free inference, no slot)
-
-and the main loop adds ``verify_answer`` and ``complete_result`` waves.
+drives one question at a time — so both loops ask the same questions,
+as the request tuples of :mod:`repro.oracle.questions` (``remember``
+requests are free and take no slot); the main loop adds
+``verify_answer`` and ``complete_result`` waves.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ from typing import Callable, Optional
 from ..db.database import Database
 from ..db.edits import Edit
 from ..oracle.base import AccountingOracle
+from ..oracle.questions import Request, ask
 from ..query.ast import Query
 from ..query.evaluator import Answer
 from ..query.incremental import IncrementalAnswers, supports_incremental
@@ -43,7 +39,7 @@ from .deletion import DeletionError, removal_task
 from .insertion import InsertionError, insertion_task
 from .qoco import QOCO, QOCOConfig
 from .report import Report
-from .tasks import Request, Task, ask
+from .tasks import Task
 
 
 def _metered_task(task: Task, callback: Callable[[int, int], None]) -> Task:

@@ -10,7 +10,7 @@ questions, and deadline/cost budgets with graceful degradation.  See
 ``docs/dispatch.md``.
 """
 
-from .dedup import AnswerBoard, question_key
+from .dedup import AnswerBoard
 from .engine import (
     DispatchEngine,
     DispatchRoundScheduler,
@@ -33,5 +33,4 @@ __all__ = [
     "WorkerPool",
     "dispatch_clean",
     "perfect_pool",
-    "question_key",
 ]

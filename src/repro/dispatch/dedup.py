@@ -9,9 +9,9 @@ cache; a live dispatcher posts them concurrently, *before* either
 answer has returned, so without help both go to the crowd and both pay
 for a full vote sample.
 
-:func:`question_key` maps a closed request to a structural identity —
-the same key the accounting cache would use once the answer lands — and
-the engine keeps an in-flight index per round: the first occurrence is
+:func:`~repro.oracle.questions.question_key` maps a closed request to a
+structural identity — the same key the accounting cache uses once the
+answer lands — and the engine keeps an in-flight index per round: the first occurrence is
 routed, later occurrences subscribe to its shared vote.  Open questions
 (``COMPL``) are never deduplicated: their payload includes run-specific
 context (the known-answer set, the partial assignment's history), and
@@ -22,27 +22,6 @@ from __future__ import annotations
 
 import threading
 from typing import Any, Hashable, Optional
-
-from ..oracle.questions import VOTED_KINDS, QuestionKind
-
-
-def question_key(request: tuple) -> Optional[Hashable]:
-    """A structural identity for a closed request, ``None`` for open ones.
-
-    Keys are value-based (facts, queries, and answers are immutable and
-    hashable) — never ``id()``-based, so two structurally equal queries
-    from different task objects coalesce, and a recycled object id can
-    never alias two distinct questions.
-    """
-    kind = request[0]
-    if kind not in VOTED_KINDS:
-        return None
-    if kind == "verify_fact":
-        return ("verify_fact", request[1])
-    if kind == "verify_answer":
-        return ("verify_answer", request[1], request[2])
-    # verify_candidate: the partial assignment arrives as a mapping
-    return ("verify_candidate", request[1], frozenset(request[2].items()))
 
 
 class AnswerBoard:
@@ -58,8 +37,9 @@ class AnswerBoard:
     Only *final* values are published (a closed question's majority
     verdict, never an in-flight vote), so reads need no blocking: a miss
     simply means "ask the crowd yourself".  The board is keyed by
-    :func:`question_key`, the same value-based identity the accounting
-    cache uses, and is safe to share between session threads.
+    :func:`~repro.oracle.questions.question_key`, the same value-based
+    identity the accounting cache uses, and is safe to share between
+    session threads.
 
     With ``similarity=True`` the board additionally indexes every
     published entry by its :func:`repro.plan.similarity.similarity_key`
@@ -150,4 +130,4 @@ def similarity_class(key: Hashable) -> Optional[Hashable]:
     return similarity_key(key)  # type: ignore[arg-type]
 
 
-__all__ = ["AnswerBoard", "question_key", "QuestionKind", "similarity_class"]
+__all__ = ["AnswerBoard", "similarity_class"]

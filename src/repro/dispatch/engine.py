@@ -44,14 +44,18 @@ from ..crowdsim.simulator import (
     Timeline,
     lognormal_latency,
 )
-from ..oracle.base import (
-    AccountingOracle,
-    open_question_cost,
-    result_question_cost,
+from ..oracle.base import AccountingOracle
+from ..oracle.questions import (
+    VOTED_KINDS,
+    QuestionKind,
+    Request,
+    ask,
+    question_cost,
+    question_detail,
+    question_key,
 )
-from ..oracle.questions import QuestionKind
 from ..telemetry import TELEMETRY as _TELEMETRY
-from .dedup import AnswerBoard, question_key
+from .dedup import AnswerBoard
 from .policy import FALLBACKS, Budget, FaultKind, FaultModel, RetryPolicy, majority
 from .workers import WorkerPool
 
@@ -87,19 +91,6 @@ class _VoteResult:
     arrived: bool
     value: Any
     end: float
-
-
-@dataclass(frozen=True)
-class _Spec:
-    """One request normalized for dispatch."""
-
-    qkind: QuestionKind
-    closed: bool
-    detail: str
-    ask: Callable[[Any], Any]                 # member oracle -> value
-    probe: Callable[[], Optional[Any]]        # accounting-cache lookup
-    commit: Callable[[Any], None]             # deferred cache write
-    cost: Callable[[Any], int]                # §7 units of the reply
 
 
 class DispatchEngine:
@@ -145,7 +136,7 @@ class DispatchEngine:
         self.stats = DispatchStats()
         self.degraded = False
         self._clock = 0.0
-        self._wave_kind: Optional[QuestionKind] = None
+        self._wave_kind: Optional[str] = None
         self._wave_ends: list[float] = []
         self._watermark = 0.0
 
@@ -195,14 +186,14 @@ class DispatchEngine:
             raise RuntimeError("engine not bound: use scheduler_factory")
         deadline_ref = self._watermark  # wall-clock as of round start
         inflight: dict[Any, Any] = {}
-        commits: list[tuple[_Spec, Any]] = []
+        commits: list[tuple[Request, Any]] = []
         answers = []
         for request in requests:
             answers.append(
                 self._resolve_one(request, inflight, commits, deadline_ref)
             )
-        for spec, value in commits:
-            spec.commit(value)
+        for request, value in commits:
+            self.oracle.remember(request, value)
         return answers
 
     # ------------------------------------------------------------------
@@ -214,13 +205,12 @@ class DispatchEngine:
 
     def _resolve_one(
         self,
-        request: tuple,
+        request: Request,
         inflight: dict,
         commits: list,
         deadline_ref: float,
     ) -> Any:
-        spec = self._spec(request)
-        cached = spec.probe()
+        cached = self.oracle.cached(request)
         if cached is not None:
             self.stats.cache_hits += 1
             self._count("oracle.cache_hits")  # mirrors the synchronous path
@@ -238,18 +228,17 @@ class DispatchEngine:
                 # accounting cache serves repeats
                 self.stats.shared_hits += 1
                 self._count("dispatch.shared_hits")
-                commits.append((spec, published))
+                commits.append((request, published))
                 inflight[key] = published
                 return published
-            probe = getattr(self.shared, "get_similar", None)
-            similar = probe(key) if probe is not None else None
+            similar = self.shared.get_similar(key)
             if similar is not None:
                 # a variable-renamed twin of this question was already
                 # answered; adopt its verdict, and republish under the
                 # exact key so later sessions hit directly
                 self.stats.similarity_hits += 1
                 self._count("dispatch.similarity_hits")
-                commits.append((spec, similar))
+                commits.append((request, similar))
                 inflight[key] = similar
                 self.shared.put(key, similar)
                 return similar
@@ -261,26 +250,28 @@ class DispatchEngine:
             self.stats.fallbacks += 1
             self.degraded = True
             self._count("dispatch.budget_denied")
-            return FALLBACKS[spec.qkind.value]
-        value, answered = self._dispatch(spec)
+            return FALLBACKS[request[0]]
+        value, answered = self._dispatch(request)
         if answered:
-            commits.append((spec, value))
+            commits.append((request, value))
             if key is not None:
                 inflight[key] = value
                 if self.shared is not None:
                     self.shared.put(key, value)
         return value
 
-    def _dispatch(self, spec: _Spec) -> tuple[Any, bool]:
+    def _dispatch(self, request: Request) -> tuple[Any, bool]:
         """Route one question to the pool; returns ``(value, answered)``."""
-        self._enter_wave(spec.qkind)
+        kind = request[0]
+        voted = kind in VOTED_KINDS
+        self._enter_wave(kind)
         post_time = self._clock
         q_index = len(self.oracle.log.records)
-        votes = self.votes_per_closed if spec.closed else 1
+        votes = self.votes_per_closed if voted else 1
         collected: list[Any] = []
         ends: list[float] = []
         for _ in range(votes):
-            vote = self._vote(spec, post_time, q_index)
+            vote = self._vote(request, post_time, q_index)
             ends.append(vote.end)
             if vote.arrived:
                 collected.append(vote.value)
@@ -294,16 +285,18 @@ class DispatchEngine:
             self.stats.fallbacks += 1
             self.degraded = True
             self._count("dispatch.unanswered")
-            return FALLBACKS[spec.qkind.value], False
-        if spec.closed:
+            return FALLBACKS[kind], False
+        if voted:
             if len(collected) < votes:
                 self.stats.partial_votes += 1
                 self._count("dispatch.partial_votes")
             value: Any = majority(collected)
         else:
             value = collected[0]
-        cost = spec.cost(value)
-        self.oracle.record_interaction(spec.qkind, cost, spec.detail)
+        cost = question_cost(request, value)
+        self.oracle.record_interaction(
+            QuestionKind(kind), cost, question_detail(request)
+        )
         if self.budget is not None:
             self.budget.charge(cost)
         self.timeline.completions.append(QuestionCompletion(q_index, completed))
@@ -313,7 +306,7 @@ class DispatchEngine:
             _TELEMETRY.observe("dispatch.question_latency", completed - post_time)
         return value, True
 
-    def _vote(self, spec: _Spec, post_time: float, q_index: int) -> _VoteResult:
+    def _vote(self, request: Request, post_time: float, q_index: int) -> _VoteResult:
         """One vote slot: an assignment chain with timeout/retry/reroute."""
         t = post_time
         exclude: set[int] = set()
@@ -349,7 +342,7 @@ class DispatchEngine:
                 end = start + duration
                 worker.occupy(start, end)
                 self.pool.commit(worker, end)
-                value = spec.ask(worker.member)
+                value = ask(worker.member, request)
                 worker.answered += 1
                 self.stats.member_answers += 1
                 self._count("dispatch.member_answers")
@@ -372,64 +365,13 @@ class DispatchEngine:
             exclude.add(worker.worker_id)
             t = fail_at + self.retry.delay(attempt - 1)
 
-    def _enter_wave(self, qkind: QuestionKind) -> None:
+    def _enter_wave(self, kind: str) -> None:
         """Barrier between maximal same-kind runs (the replay model)."""
-        if qkind is not self._wave_kind:
+        if kind != self._wave_kind:
             if self._wave_ends:
                 self._clock = max(self._wave_ends)
             self._wave_ends = []
-            self._wave_kind = qkind
-
-    # -- request normalization ------------------------------------------
-    def _spec(self, request: tuple) -> _Spec:
-        kind = request[0]
-        oracle = self.oracle
-        if kind == "verify_fact":
-            fact = request[1]
-            return _Spec(
-                QuestionKind.VERIFY_FACT, True, str(fact),
-                ask=lambda m: m.verify_fact(fact),
-                probe=lambda: oracle.known_fact_value(fact),
-                commit=lambda v: oracle.remember_fact(fact, v),
-                cost=lambda v: 1,
-            )
-        if kind == "verify_answer":
-            _, query, answer = request
-            return _Spec(
-                QuestionKind.VERIFY_ANSWER, True, f"{query.name}{answer}",
-                ask=lambda m: m.verify_answer(query, answer),
-                probe=lambda: oracle.cached_answer(query, answer),
-                commit=lambda v: oracle.remember_answer(query, answer, v),
-                cost=lambda v: 1,
-            )
-        if kind == "verify_candidate":
-            _, query, partial = request
-            return _Spec(
-                QuestionKind.VERIFY_CANDIDATE, True, query.name,
-                ask=lambda m: m.verify_candidate(query, partial),
-                probe=lambda: None,
-                commit=lambda v: None,
-                cost=lambda v: 1,
-            )
-        if kind == "complete_assignment":
-            _, query, partial = request
-            return _Spec(
-                QuestionKind.COMPLETE_ASSIGNMENT, False, query.name,
-                ask=lambda m: m.complete_assignment(query, partial),
-                probe=lambda: None,
-                commit=lambda v: None,
-                cost=lambda v: open_question_cost(query, partial, v),
-            )
-        if kind == "complete_result":
-            _, query, known = request
-            return _Spec(
-                QuestionKind.COMPLETE_RESULT, False, query.name,
-                ask=lambda m: m.complete_result(query, known),
-                probe=lambda: None,
-                commit=lambda v: None,
-                cost=lambda v: result_question_cost(query, v),
-            )
-        raise ValueError(f"unknown request {request!r}")
+            self._wave_kind = kind
 
 
 class DispatchRoundScheduler(RoundScheduler):

@@ -4,7 +4,7 @@ The write-ahead log and the checkpoints both store plain JSON objects;
 this module is the single place that knows how to map the domain
 objects — :class:`~repro.db.tuples.Fact`, :class:`~repro.db.edits.Edit`,
 :class:`~repro.query.ast.Query`, answers, and the structural
-answer-board keys of :func:`repro.dispatch.dedup.question_key` — onto
+answer-board keys of :func:`repro.oracle.questions.question_key` — onto
 JSON and back **losslessly**.
 
 Two invariants the recovery path depends on:
@@ -160,7 +160,7 @@ def assignment_from_obj(obj: Iterable[Sequence]) -> dict[Var, Constant]:
 # answer-board entries
 # ---------------------------------------------------------------------------
 def board_key_to_obj(key: Hashable) -> dict:
-    """Encode a :func:`~repro.dispatch.dedup.question_key` identity."""
+    """Encode a :func:`~repro.oracle.questions.question_key` identity."""
     if not isinstance(key, tuple) or not key:
         raise CodecError(f"unsupported board key {key!r}")
     kind = key[0]

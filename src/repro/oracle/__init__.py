@@ -1,7 +1,7 @@
 """Oracles, crowds, aggregation, and interaction accounting."""
 
 from .aggregator import Aggregator, FirstAnswer, MajorityVote
-from .base import AccountingOracle, Oracle, open_question_cost, result_question_cost
+from .base import AccountingOracle, Oracle
 from .crowd import Crowd, CrowdStats
 from .enumeration import Chao92Estimator, CompletionEstimator, ExactCompletion
 from .imperfect import ImperfectOracle
@@ -18,6 +18,8 @@ from .questions import (
     LogSnapshot,
     QuestionKind,
     category_of,
+    open_question_cost,
+    result_question_cost,
 )
 
 __all__ = [

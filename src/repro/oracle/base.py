@@ -11,13 +11,21 @@ is answered for free.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..db.tuples import Constant, Fact
 from ..query.ast import Query, Var
 from ..query.evaluator import Answer, Assignment
 from ..telemetry import TELEMETRY as _TELEMETRY
-from .questions import InteractionLog, QuestionKind
+from .questions import (
+    InteractionLog,
+    QuestionKind,
+    Request,
+    ask,
+    question_cost,
+    question_detail,
+    question_key,
+)
 
 
 class Oracle(ABC):
@@ -60,24 +68,47 @@ class Oracle(ABC):
         *known_answers*, or ``None`` if there is none."""
 
 
-def open_question_cost(
-    query: Query, partial: Mapping[Var, Constant], result: Optional[Assignment]
-) -> int:
-    """Cost of a ``COMPL(α, Q)`` reply: unique variables the expert bound."""
-    if result is None:
-        return 1
-    filled = {v for v in query.variables() if v not in partial}
-    return max(1, len(filled & set(result)))
+class ForwardingOracle(Oracle):
+    """An oracle that poses every question as one request tuple.
+
+    Subclasses implement :meth:`forward` — a pipe round-trip, a delay, a
+    broker submission — and inherit the six question methods, each of
+    which builds its request (see :mod:`repro.oracle.questions`) and
+    forwards it.
+    """
+
+    @abstractmethod
+    def forward(self, request: Request) -> Any:
+        """Answer one request tuple."""
+
+    def verify_fact(self, fact: Fact) -> bool:
+        return self.forward(("verify_fact", fact))
+
+    def verify_facts(self, facts: Sequence[Fact]) -> dict[Fact, bool]:
+        return self.forward(("verify_facts", facts))
+
+    def verify_answer(self, query: Query, answer: Answer) -> bool:
+        return self.forward(("verify_answer", query, answer))
+
+    def verify_candidate(self, query: Query, partial: Mapping[Var, Constant]) -> bool:
+        return self.forward(("verify_candidate", query, partial))
+
+    def complete_assignment(
+        self, query: Query, partial: Mapping[Var, Constant]
+    ) -> Optional[Assignment]:
+        return self.forward(("complete_assignment", query, partial))
+
+    def complete_result(
+        self, query: Query, known_answers: Iterable[Answer]
+    ) -> Optional[Answer]:
+        return self.forward(("complete_result", query, known_answers))
 
 
-def result_question_cost(query: Query, result: Optional[Answer]) -> int:
-    """Cost of a ``COMPL(Q(D))`` reply: head variables named (or 1)."""
-    if result is None:
-        return 1
-    return max(1, len(set(query.head_variables())))
+#: Kinds whose verdicts the accounting cache keeps (by question key).
+_CACHED_KINDS = frozenset({"verify_fact", "verify_answer"})
 
 
-class AccountingOracle(Oracle):
+class AccountingOracle(ForwardingOracle):
     """Delegates to a backend oracle, logging and caching interactions.
 
     Caching mirrors the paper's "questions are never repeated": a fact or
@@ -88,18 +119,18 @@ class AccountingOracle(Oracle):
     def __init__(self, backend: Oracle, log: Optional[InteractionLog] = None) -> None:
         self.backend = backend
         self.log = log if log is not None else InteractionLog()
-        self._fact_cache: dict[Fact, bool] = {}
-        # Keyed structurally by (query, answer) — Query is a frozen
-        # dataclass, so equal queries share verdicts regardless of
-        # object identity, and a recycled id() can never alias two
-        # distinct queries to one stale verdict.
-        self._answer_cache: dict[tuple[Query, Answer], bool] = {}
+        # Keyed by question_key — value-based, so equal queries share
+        # verdicts regardless of object identity, and a recycled id()
+        # can never alias two distinct queries to one stale verdict.
+        self._cache: dict[Any, bool] = {}
 
     # -- accounting ------------------------------------------------------
-    def _record(self, kind: QuestionKind, cost: int, detail: str = "") -> None:
-        """One crowd interaction: append to the log and mirror it into the
-        telemetry counter stream (``oracle.questions.*`` / ``oracle.cost.*``),
-        so §7-style budgets are observable live, not only post-hoc."""
+    def record_interaction(self, kind: QuestionKind, cost: int, detail: str = "") -> None:
+        """One crowd interaction — asked of the backend or answered outside
+        it (e.g. by the dispatch engine's worker pool): append it to the
+        log and mirror it into the telemetry counter stream
+        (``oracle.questions.*`` / ``oracle.cost.*``), so §7-style budgets
+        are observable live, not only post-hoc."""
         self.log.record(kind, cost, detail)
         tel = _TELEMETRY
         if tel.enabled:
@@ -107,29 +138,32 @@ class AccountingOracle(Oracle):
             tel.count(f"oracle.cost.{kind.value}", cost)
             tel.count("oracle.cost.total", cost)
 
-    def record_interaction(self, kind: QuestionKind, cost: int, detail: str = "") -> None:
-        """Log an interaction answered outside the backend (e.g. by the
-        dispatch engine's worker pool), with the usual telemetry mirror."""
-        self._record(kind, cost, detail)
+    # -- cache -------------------------------------------------------------
+    def cached(self, request: Request) -> Optional[bool]:
+        """This run's verdict for *request*, if it has one (only fact and
+        answer verdicts are kept)."""
+        if request[0] in _CACHED_KINDS:
+            return self._cache.get(question_key(request))
+        return None
 
-    # -- cache helpers ---------------------------------------------------
+    def remember(self, request: Request, value: Any) -> None:
+        """Record *request*'s verdict, obtained asked or out of band (a
+        composite reply is kept per fact)."""
+        if request[0] == "verify_facts":
+            for fact in request[1]:
+                self.remember_fact(fact, value[fact])
+        elif request[0] in _CACHED_KINDS:
+            self._cache[question_key(request)] = value
+
     def knows_fact(self, fact: Fact) -> bool:
-        return fact in self._fact_cache
+        return ("verify_fact", fact) in self._cache
 
     def known_fact_value(self, fact: Fact) -> Optional[bool]:
-        return self._fact_cache.get(fact)
+        return self._cache.get(("verify_fact", fact))
 
     def remember_fact(self, fact: Fact, value: bool) -> None:
         """Record knowledge inferred without asking (e.g. Theorem 4.5)."""
-        self._fact_cache[fact] = value
-
-    def cached_answer(self, query: Query, answer: Answer) -> Optional[bool]:
-        """The cached ``TRUE(Q, t)?`` verdict, if this run has one."""
-        return self._answer_cache.get((query, answer))
-
-    def remember_answer(self, query: Query, answer: Answer, value: bool) -> None:
-        """Record a ``TRUE(Q, t)?`` verdict obtained out of band."""
-        self._answer_cache[(query, answer)] = value
+        self._cache[("verify_fact", fact)] = value
 
     def forget(self) -> None:
         """Drop cached answers.
@@ -140,19 +174,27 @@ class AccountingOracle(Oracle):
         paper's "iterative protection", Section 6.2).  Costs already
         logged are kept.
         """
-        self._fact_cache.clear()
-        self._answer_cache.clear()
+        self._cache.clear()
 
-    # -- Oracle interface --------------------------------------------------
-    def verify_fact(self, fact: Fact) -> bool:
-        cached = self._fact_cache.get(fact)
+    # -- answering ---------------------------------------------------------
+    def forward(self, request: Request) -> Any:
+        """Answer from the cache for free, else ask the backend."""
+        cached = self.cached(request)
         if cached is not None:
             if _TELEMETRY.enabled:
                 _TELEMETRY.count("oracle.cache_hits")
             return cached
-        value = self.backend.verify_fact(fact)
-        self._fact_cache[fact] = value
-        self._record(QuestionKind.VERIFY_FACT, 1, str(fact))
+        return self._ask_backend(request)
+
+    def _ask_backend(self, request: Request) -> Any:
+        """Pay the backend for *request*: log its cost, cache its verdict."""
+        value = ask(self.backend, request)
+        self.remember(request, value)
+        self.record_interaction(
+            QuestionKind(request[0]),
+            question_cost(request, value),
+            question_detail(request),
+        )
         return value
 
     def verify_facts(self, facts: Sequence[Fact]) -> dict[Fact, bool]:
@@ -162,49 +204,13 @@ class AccountingOracle(Oracle):
         results: dict[Fact, bool] = {}
         to_ask: list[Fact] = []
         for fact in facts:
-            cached = self._fact_cache.get(fact)
+            cached = self.known_fact_value(fact)
             if cached is not None:
                 results[fact] = cached
             elif fact not in to_ask:
                 to_ask.append(fact)
         if to_ask:
-            answers = self.backend.verify_facts(to_ask)
+            answers = self._ask_backend(("verify_facts", to_ask))
             for fact in to_ask:
-                value = answers[fact]
-                self._fact_cache[fact] = value
-                results[fact] = value
-            self._record(QuestionKind.VERIFY_FACTS, 1, f"{len(to_ask)} facts")
+                results[fact] = answers[fact]
         return results
-
-    def verify_answer(self, query: Query, answer: Answer) -> bool:
-        key = (query, answer)
-        cached = self._answer_cache.get(key)
-        if cached is not None:
-            if _TELEMETRY.enabled:
-                _TELEMETRY.count("oracle.cache_hits")
-            return cached
-        value = self.backend.verify_answer(query, answer)
-        self._answer_cache[key] = value
-        self._record(QuestionKind.VERIFY_ANSWER, 1, f"{query.name}{answer}")
-        return value
-
-    def verify_candidate(self, query: Query, partial: Mapping[Var, Constant]) -> bool:
-        value = self.backend.verify_candidate(query, partial)
-        self._record(QuestionKind.VERIFY_CANDIDATE, 1, query.name)
-        return value
-
-    def complete_assignment(
-        self, query: Query, partial: Mapping[Var, Constant]
-    ) -> Optional[Assignment]:
-        result = self.backend.complete_assignment(query, partial)
-        cost = open_question_cost(query, partial, result)
-        self._record(QuestionKind.COMPLETE_ASSIGNMENT, cost, query.name)
-        return result
-
-    def complete_result(
-        self, query: Query, known_answers: Iterable[Answer]
-    ) -> Optional[Answer]:
-        result = self.backend.complete_result(query, known_answers)
-        cost = result_question_cost(query, result)
-        self._record(QuestionKind.COMPLETE_RESULT, cost, query.name)
-        return result

@@ -16,13 +16,41 @@ Accounting follows Section 7: a closed question costs 1; an open
 question costs the number of unique variables the expert bound (a "not
 satisfiable" reply to an open question costs 1 — the expert still had to
 check).
+
+Every layer poses a question as one value, a *request* tuple whose first
+element is the :class:`QuestionKind` value and whose rest are the
+arguments of the :class:`~repro.oracle.base.Oracle` method of that name:
+
+* ``("verify_fact", fact)``                   → bool
+* ``("verify_facts", facts)``                 → ``{fact: bool}``
+* ``("verify_answer", query, answer)``        → bool
+* ``("verify_candidate", query, partial)``    → bool
+* ``("complete_assignment", query, partial)`` → assignment or None
+* ``("complete_result", query, known)``       → answer or None
+
+plus ``("remember", fact, value)``, a free inference the cleaning tasks
+record in the accounting cache.  This module is the one place that knows
+the format: :func:`ask` answers a request with any oracle,
+:func:`question_key` gives a closed request its structural identity,
+:func:`question_cost` and :func:`question_detail` price and describe it
+for the log, and :func:`check_reply` vets a reply that crossed a trust
+boundary.  See ``docs/dispatch.md`` ("Questions") for the layers that
+read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Optional
+
+if TYPE_CHECKING:
+    from ..db.tuples import Constant
+    from ..query.ast import Query, Var
+    from ..query.evaluator import Answer, Assignment
+
+#: A crowd question: ``(kind, *arguments)`` (see the module docstring).
+Request = tuple
 
 
 class QuestionKind(Enum):
@@ -76,6 +104,94 @@ _KIND_CATEGORY = {
 def category_of(kind: QuestionKind) -> str:
     """The Figure 3f stack category of a question kind."""
     return _KIND_CATEGORY[kind]
+
+
+#: Request kind -> the oracle method that answers it.
+_METHODS = {kind.value: kind.value for kind in QuestionKind}
+_METHODS["remember"] = "remember_fact"
+
+
+def ask(oracle: Any, request: Request) -> Any:
+    """Answer *request* synchronously with *oracle*'s method of that kind."""
+    method = _METHODS.get(request[0])
+    if method is None:
+        raise ValueError(f"unknown request {request!r}")
+    return getattr(oracle, method)(*request[1:])
+
+
+def question_key(request: Request) -> Optional[Hashable]:
+    """A structural identity for a voted request, ``None`` for the rest.
+
+    Keys are value-based (facts, queries, and answers are immutable and
+    hashable) — never ``id()``-based, so two structurally equal queries
+    from different task objects coalesce, and a recycled object id can
+    never alias two distinct questions.  The same key indexes the
+    accounting cache, the dispatch engine's in-flight votes, the broker's
+    coalescing and the cross-session :class:`~repro.dispatch.dedup.AnswerBoard`.
+    """
+    kind = request[0]
+    if kind not in VOTED_KINDS:
+        return None
+    if kind == "verify_candidate":  # the partial arrives as a mapping
+        return (kind, request[1], frozenset(request[2].items()))
+    return tuple(request)
+
+
+def open_question_cost(
+    query: "Query", partial: "Mapping[Var, Constant]", result: "Optional[Assignment]"
+) -> int:
+    """Cost of a ``COMPL(α, Q)`` reply: unique variables the expert bound."""
+    if result is None:
+        return 1
+    filled = {v for v in query.variables() if v not in partial}
+    return max(1, len(filled & set(result)))
+
+
+def result_question_cost(query: "Query", result: "Optional[Answer]") -> int:
+    """Cost of a ``COMPL(Q(D))`` reply: head variables named (or 1)."""
+    if result is None:
+        return 1
+    return max(1, len(set(query.head_variables())))
+
+
+def question_cost(request: Request, reply: Any) -> int:
+    """The §7 cost of answering *request* with *reply*."""
+    kind = request[0]
+    if kind == "complete_assignment":
+        return open_question_cost(request[1], request[2], reply)
+    if kind == "complete_result":
+        return result_question_cost(request[1], reply)
+    return 1
+
+
+def question_detail(request: Request) -> str:
+    """The log detail string of *request* (see :class:`Interaction`)."""
+    kind = request[0]
+    if kind == "verify_fact":
+        return str(request[1])
+    if kind == "verify_facts":
+        return f"{len(request[1])} facts"
+    if kind == "verify_answer":
+        return f"{request[1].name}{request[2]}"
+    return request[1].name
+
+
+def check_reply(request: Request, reply: Any) -> None:
+    """Raise :class:`ValueError` unless *reply* can answer *request*.
+
+    A voted question takes one boolean verdict; a composite
+    ``verify_facts`` question takes a boolean verdict for exactly the
+    facts it asked.  Open replies are shaped by their decoder.
+    """
+    kind = request[0]
+    if kind in VOTED_KINDS and not isinstance(reply, bool):
+        raise ValueError(f"{kind} needs a boolean reply, got {reply!r}")
+    if kind == "verify_facts" and not (
+        isinstance(reply, dict)
+        and set(reply) == set(request[1])
+        and all(isinstance(verdict, bool) for verdict in reply.values())
+    ):
+        raise ValueError(f"verify_facts needs one boolean per asked fact, got {reply!r}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ _SAT_KINDS = ("verify_answer", "verify_candidate")
 def similarity_key(key: tuple) -> Optional[tuple]:
     """The canonical similarity class of a question key, or ``None``.
 
-    Accepts the tuples produced by ``repro.dispatch.dedup.question_key``:
+    Accepts the tuples produced by ``repro.oracle.questions.question_key``:
     ``("verify_answer", query, answer)`` and ``("verify_candidate",
     query, partial)`` (partial as a mapping or a frozenset of items).
     Other kinds — fact checks are already canonical, completions are

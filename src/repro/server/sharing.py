@@ -7,10 +7,10 @@ benefit through :class:`SharedOracle` — an accounting oracle that checks
 the board before paying the backend for a closed question, and publishes
 every verdict it does pay for.
 
-Board keys are the same structural identities
-:func:`~repro.dispatch.dedup.question_key` produces for dispatched
-requests, so synchronous and dispatched sessions sharing one board
-coalesce with each other, not just among themselves.
+Board keys are the :func:`~repro.oracle.questions.question_key` of the
+request (see ``docs/dispatch.md``, "Questions"), the same identity the
+dispatch engine publishes under, so synchronous and dispatched sessions
+sharing one board coalesce with each other, not just among themselves.
 
 Open questions (``COMPL``) never touch the board — their answers depend
 on run-local context (the known-answer set, the assignment's history).
@@ -22,14 +22,11 @@ every other tenant's sharing.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Any, Optional
 
-from ..db.tuples import Constant, Fact
 from ..dispatch.dedup import AnswerBoard
 from ..oracle.base import AccountingOracle, Oracle
-from ..oracle.questions import InteractionLog
-from ..query.ast import Query, Var
-from ..query.evaluator import Answer
+from ..oracle.questions import InteractionLog, Request, question_key
 from ..telemetry import TELEMETRY as _TELEMETRY
 
 
@@ -52,65 +49,32 @@ class SharedOracle(AccountingOracle):
         #: closed questions answered free from the board by this session
         self.shared_hits = 0
 
-    def _board_hit(self) -> None:
-        self.shared_hits += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.count("server.shared_hits")
-
     def _similar(self, key: tuple) -> Optional[bool]:
         """A renamed twin's published verdict (similarity-enabled boards
         only); republished under the exact key on a hit."""
-        probe = getattr(self.board, "get_similar", None)
-        value = probe(key) if probe is not None else None
+        value = self.board.get_similar(key)
         if value is not None:
             if _TELEMETRY.enabled:
                 _TELEMETRY.count("server.similarity_hits")
             self.board.put(key, value)
         return value
 
-    # -- closed questions, board-aware ----------------------------------
-    def verify_fact(self, fact: Fact) -> bool:
-        cached = self._fact_cache.get(fact)
-        if cached is not None:
-            if _TELEMETRY.enabled:
-                _TELEMETRY.count("oracle.cache_hits")
-            return cached
-        published = self.board.get(("verify_fact", fact))
-        if published is not None:
-            self._board_hit()
-            self._fact_cache[fact] = published
-            return published
-        value = super().verify_fact(fact)
-        self.board.put(("verify_fact", fact), value)
-        return value
-
-    def verify_answer(self, query: Query, answer: Answer) -> bool:
-        cached = self._answer_cache.get((query, answer))
-        if cached is not None:
-            if _TELEMETRY.enabled:
-                _TELEMETRY.count("oracle.cache_hits")
-            return cached
-        key = ("verify_answer", query, answer)
+    def _ask_backend(self, request: Request) -> Any:
+        """Before paying the backend for a voted question, read the
+        board; publish the verdict the backend gives."""
+        key = question_key(request)
+        if key is None:
+            return super()._ask_backend(request)
         published = self.board.get(key)
         if published is None:
             published = self._similar(key)
         if published is not None:
-            self._board_hit()
-            self._answer_cache[(query, answer)] = published
+            self.shared_hits += 1
+            if _TELEMETRY.enabled:
+                _TELEMETRY.count("server.shared_hits")
+            self.remember(request, published)
             return published
-        value = super().verify_answer(query, answer)
-        self.board.put(("verify_answer", query, answer), value)
-        return value
-
-    def verify_candidate(self, query: Query, partial: Mapping[Var, Constant]) -> bool:
-        key = ("verify_candidate", query, frozenset(partial.items()))
-        published = self.board.get(key)
-        if published is None:
-            published = self._similar(key)
-        if published is not None:
-            self._board_hit()
-            return published
-        value = super().verify_candidate(query, partial)
+        value = super()._ask_backend(request)
         self.board.put(key, value)
         return value
 

@@ -38,13 +38,14 @@ from typing import Any, Optional
 
 from ..dispatch.policy import RetryPolicy
 from ..durability import codec
+from ..oracle.questions import check_reply
 from ..query.parser import parse_query
 from ..server.manager import SessionManager
 from ..server.policy import TenantPolicy
 from ..server.session import CleaningSession, SessionState
 from ..shard import wire
 from ..telemetry import TELEMETRY as _TELEMETRY
-from .broker import BrokeredOracle, QuestionBroker, decode_reply
+from .broker import BrokeredOracle, QuestionBroker
 from .http import HttpError, HttpServer, Request, Response, StreamResponse, json_response
 from .replication import Follower, ReplicationHub, _Chain
 
@@ -434,13 +435,20 @@ class CrowdService:
             reply = body["reply"]
         except (KeyError, TypeError, ValueError) as error:
             raise HttpError(400, f"malformed answer: {error}") from error
-        kind = self.broker.kind_of(qid)
-        if kind is None:
+        payload = self.broker.payload_of(qid)
+        if payload is None:
             return json_response({"status": "unknown", "resolved": False})
         try:
-            value = decode_reply(kind, reply)
+            # vet the reply against the question it answers: a vote
+            # that is not a verdict must not count (the question stays
+            # leasable for a well-formed answer)
+            question = wire.question_from_obj(payload)
+            value = wire.reply_from_obj(question[0], reply)
+            check_reply(question, value)
         except Exception as error:
-            raise HttpError(400, f"undecodable reply for {kind}: {error}") from error
+            raise HttpError(
+                400, f"bad reply to {payload.get('kind')}: {error}"
+            ) from error
         outcome = self.broker.answer(worker, qid, value, time.monotonic())
         return json_response(outcome)
 

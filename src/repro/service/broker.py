@@ -7,7 +7,7 @@ call becomes a pending **question** in the broker, and the session
 thread blocks until remote crowd workers resolve it.  The broker reuses
 the dispatch layer's machinery against real wall-clock workers:
 
-* :func:`~repro.dispatch.dedup.question_key` coalesces structurally
+* :func:`~repro.oracle.questions.question_key` coalesces structurally
   identical closed questions *in flight*: a second session asking the
   same question before the first resolves subscribes to the same vote
   instead of paying again (the cross-session analogue of the engine's
@@ -47,15 +47,12 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional
 
-from ..db.tuples import Constant, Fact
-from ..dispatch.dedup import question_key, similarity_class
+from ..dispatch.dedup import similarity_class
 from ..dispatch.policy import FALLBACKS, RetryPolicy, majority
-from ..oracle.base import Oracle
-from ..oracle.questions import VOTED_KINDS
-from ..query.ast import Query, Var
-from ..query.evaluator import Answer, Assignment
+from ..oracle.base import ForwardingOracle
+from ..oracle.questions import VOTED_KINDS, Request, question_key
 from ..shard import wire
 from ..telemetry import TELEMETRY as _TELEMETRY
 
@@ -454,10 +451,11 @@ class QuestionBroker:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def kind_of(self, qid: int) -> Optional[str]:
+    def payload_of(self, qid: int) -> Optional[dict]:
+        """The wire-encoded question *qid* (``None`` once forgotten)."""
         with self._lock:
             question = self._questions.get(qid)
-            return question.kind if question is not None else None
+            return question.payload if question is not None else None
 
     def pending_count(self) -> int:
         with self._lock:
@@ -481,14 +479,16 @@ class QuestionBroker:
             }
 
 
-class BrokeredOracle(Oracle):
+class BrokeredOracle(ForwardingOracle):
     """The oracle backend sessions see inside the service.
 
-    Each method encodes the question with the shard wire codec (full
-    queries — no session-query marker, because the feed serves many
-    tenants), submits it to the broker, and blocks the calling session
-    thread until remote workers resolve it.  The manager wraps this in
-    the usual :class:`~repro.oracle.base.AccountingOracle` /
+    Each question is forwarded as its request tuple: encoded with the
+    shard wire codec (full queries — no session-query marker, because
+    the feed serves many tenants), keyed by
+    :func:`~repro.oracle.questions.question_key`, submitted to the
+    broker, and the calling session thread blocks until remote workers
+    resolve it.  The manager wraps this in the usual
+    :class:`~repro.oracle.base.AccountingOracle` /
     :class:`~repro.server.sharing.SharedOracle` layers, so cost
     accounting and cross-session answer sharing are *identical* to an
     in-process run — the acceptance condition for cost parity.
@@ -500,56 +500,19 @@ class BrokeredOracle(Oracle):
         #: capacity scheduler's per-tenant weight
         self.priority = priority
 
-    def verify_fact(self, fact: Fact) -> bool:
-        payload = wire.question_to_obj("verify_fact", fact=fact)
-        key = question_key(("verify_fact", fact))
-        return bool(self.broker.ask("verify_fact", payload, key, self.priority))
-
-    def verify_facts(self, facts: Sequence[Fact]) -> dict[Fact, bool]:
-        payload = wire.question_to_obj("verify_facts", facts=facts)
-        value = self.broker.ask("verify_facts", payload, None, self.priority)
-        if value is None:  # crowd never answered: conservative per-fact default
-            return {fact: True for fact in facts}
-        return {fact: bool(value[fact]) for fact in facts}
-
-    def verify_answer(self, query: Query, answer: Answer) -> bool:
-        payload = wire.question_to_obj("verify_answer", query=query, answer=answer)
-        key = question_key(("verify_answer", query, answer))
-        return bool(self.broker.ask("verify_answer", payload, key, self.priority))
-
-    def verify_candidate(self, query: Query, partial: Mapping[Var, Constant]) -> bool:
-        payload = wire.question_to_obj("verify_candidate", query=query, partial=partial)
-        key = question_key(("verify_candidate", query, dict(partial)))
-        return bool(self.broker.ask("verify_candidate", payload, key, self.priority))
-
-    def complete_assignment(
-        self, query: Query, partial: Mapping[Var, Constant]
-    ) -> Optional[Assignment]:
-        payload = wire.question_to_obj(
-            "complete_assignment", query=query, partial=partial
+    def forward(self, request: Request) -> Any:
+        kind = request[0]
+        value = self.broker.ask(
+            kind, wire.question_to_obj(request), question_key(request), self.priority
         )
-        return self.broker.ask("complete_assignment", payload, None, self.priority)
-
-    def complete_result(
-        self, query: Query, known_answers: Iterable[Answer]
-    ) -> Optional[Answer]:
-        known = list(known_answers)
-        payload = wire.question_to_obj("complete_result", query=query, known=known)
-        return self.broker.ask("complete_result", payload, None, self.priority)
-
-
-def decode_reply(kind: str, obj: dict) -> Any:
-    """Decode a worker's reply into the broker's vote value.
-
-    ``verify_facts`` replies stay keyed by decoded facts (hashable);
-    everything else follows :func:`repro.shard.wire.reply_from_obj`.
-    """
-    return wire.reply_from_obj(kind, obj)
+        if value is None and kind == "verify_facts":
+            # the crowd never answered: the conservative per-fact default
+            return {fact: True for fact in request[1]}
+        return value
 
 
 __all__ = [
     "FALLBACKS",
     "BrokeredOracle",
     "QuestionBroker",
-    "decode_reply",
 ]

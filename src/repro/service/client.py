@@ -22,6 +22,7 @@ from typing import Any, Optional, Union
 
 from ..durability import codec
 from ..oracle.base import Oracle
+from ..oracle.questions import ask
 from ..query.ast import Query
 from ..shard import wire
 
@@ -195,24 +196,10 @@ class ServiceClient:
         return self._http.request("POST", "/v1/promote", {})
 
 
-def answer_question(backend: Oracle, decoded: dict) -> dict:
-    """Answer one decoded question with *backend*; returns the wire reply."""
-    kind = decoded["kind"]
-    if kind == "verify_fact":
-        value: Any = backend.verify_fact(decoded["fact"])
-    elif kind == "verify_facts":
-        value = backend.verify_facts(decoded["facts"])
-    elif kind == "verify_answer":
-        value = backend.verify_answer(decoded["query"], decoded["answer"])
-    elif kind == "verify_candidate":
-        value = backend.verify_candidate(decoded["query"], decoded["partial"])
-    elif kind == "complete_assignment":
-        value = backend.complete_assignment(decoded["query"], decoded["partial"])
-    elif kind == "complete_result":
-        value = backend.complete_result(decoded["query"], decoded["known"])
-    else:
-        raise ServiceError(400, f"unknown question kind {kind!r}")
-    return wire.reply_to_obj(kind, value)
+def answer_question(backend: Oracle, request: tuple) -> dict:
+    """Answer one decoded question request with *backend*; returns the
+    wire reply."""
+    return wire.reply_to_obj(request[0], ask(backend, request))
 
 
 class WorkerClient:
@@ -253,8 +240,8 @@ class WorkerClient:
     # ------------------------------------------------------------------
     def answer(self, lease: dict) -> dict:
         """Answer one lease document and POST the reply."""
-        decoded = wire.question_from_obj(lease["question"])
-        reply = answer_question(self.backend, decoded)
+        request = wire.question_from_obj(lease["question"])
+        reply = answer_question(self.backend, request)
         outcome = self._http.request(
             "POST",
             "/v1/worker/answer",
@@ -283,7 +270,8 @@ class WorkerClient:
         while not self._stop.is_set():
             try:
                 self.poll_once()
-            except (ServiceError, ConnectionError, OSError, http.client.HTTPException):
+            except (ServiceError, codec.CodecError, ConnectionError, OSError,
+                    http.client.HTTPException):
                 if self._stop.wait(0.3):
                     return
                 self._http.close()
@@ -304,8 +292,8 @@ class WorkerClient:
                     message = json.loads(line)
                     if "question" in message:
                         self.answer(message["question"])
-            except (ServiceError, ConnectionError, OSError, http.client.HTTPException,
-                    json.JSONDecodeError):
+            except (ServiceError, codec.CodecError, ConnectionError, OSError,
+                    http.client.HTTPException, json.JSONDecodeError):
                 if self._stop.wait(0.3):
                     return
             finally:

@@ -33,12 +33,12 @@ from typing import Iterable, Optional
 
 from ..db.tuples import Fact
 from ..oracle.base import AccountingOracle, Oracle
+from ..oracle.questions import ask
 from ..query.ast import Query, Var
 from ..query.evaluator import Answer, answer_to_partial
 from ..telemetry import TELEMETRY as _TELEMETRY
 from . import wire
 from .partition import PartitionSpec
-from ..durability.codec import CodecError
 
 
 class QuestionRouter:
@@ -73,8 +73,9 @@ class QuestionRouter:
         self._skip: dict[int, set[Answer]] = {}
         self._home_cache: dict[tuple[Query, Answer], Optional[int]] = {}
         #: wire decoding builds a fresh ``Query`` per question; intern
-        #: them so per-query-object oracle memoization (e.g.
-        #: ``PerfectOracle``'s ground-truth answer cache) still hits
+        #: them so the oracle sees one object per query value and its
+        #: ``QueryPlan`` (compiled once per ``Query`` object) is reused
+        #: (``PerfectOracle`` memoizes answers by query value already)
         self._query_intern: dict[Query, Query] = {}
         #: resolves the :data:`~repro.shard.wire.SESSION_QUERY` marker
         #: workers send in place of the query they are cleaning
@@ -108,34 +109,18 @@ class QuestionRouter:
     # ------------------------------------------------------------------
     def answer(self, shard: int, question_obj: dict) -> dict:
         """Answer one wire-encoded question from *shard*."""
-        question = wire.question_from_obj(
+        request = wire.question_from_obj(
             question_obj, session_query=self.session_query
         )
-        kind = question["kind"]
-        if "query" in question:
-            question["query"] = self.intern_query(question["query"])
+        kind = request[0]
+        if isinstance(request[1], Query):
+            request = (kind, self.intern_query(request[1]), *request[2:])
         if _TELEMETRY.enabled:
             _TELEMETRY.count("shard.questions_routed")
-        if kind == "verify_fact":
-            value = self.oracle.verify_fact(question["fact"])
-        elif kind == "verify_facts":
-            value = self.oracle.verify_facts(question["facts"])
-        elif kind == "verify_answer":
-            value = self.oracle.verify_answer(question["query"], question["answer"])
-        elif kind == "verify_candidate":
-            value = self.oracle.verify_candidate(
-                question["query"], question["partial"]
-            )
-        elif kind == "complete_assignment":
-            value = self.oracle.complete_assignment(
-                question["query"], question["partial"]
-            )
-        elif kind == "complete_result":
-            value = self._scoped_complete_result(
-                shard, question["query"], question["known"]
-            )
+        if kind == "complete_result":
+            value = self._scoped_complete_result(shard, request[1], request[2])
         else:
-            raise CodecError(f"unknown question kind {kind!r}")
+            value = ask(self.oracle, request)
         return wire.reply_to_obj(kind, value)
 
     # ------------------------------------------------------------------

@@ -16,13 +16,15 @@ travel.
   worker rebuilds it with default arguments: per-instance state, such
   as a trust provider, stays in the parent.
 * :func:`question_to_obj` / :func:`question_from_obj` and
-  :func:`reply_to_obj` / :func:`reply_from_obj` encode the five oracle
-  question kinds and their answers for the parent-side router.
+  :func:`reply_to_obj` / :func:`reply_from_obj` encode the request
+  tuples of :mod:`repro.oracle.questions` (all six question kinds) and
+  their answers, for the parent-side router and the service's worker
+  feed alike.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.insertion import InsertionConfig
 from ..core.qoco import QOCOConfig
@@ -131,67 +133,89 @@ def config_from_obj(obj: dict) -> QOCOConfig:
 SESSION_QUERY = "@session"
 
 
-def question_to_obj(kind: str, *, session_query: Any = None, **parts: Any) -> dict:
-    """Encode one oracle question for the router.
+#: Request kind -> the wire field of each argument, in tuple order.
+_FIELDS = {
+    "verify_fact": ("fact",),
+    "verify_facts": ("facts",),
+    "verify_answer": ("query", "answer"),
+    "verify_candidate": ("query", "partial"),
+    "complete_assignment": ("query", "partial"),
+    "complete_result": ("query", "known"),
+}
 
-    ``kind`` is the :class:`~repro.oracle.questions.QuestionKind` value;
-    *parts* are the raw domain objects (``fact=``, ``facts=``,
-    ``query=``, ``answer=``, ``partial=``, ``known=``).  A query that
-    *is* the declared *session_query* wires as the :data:`SESSION_QUERY`
-    marker instead of a full encoding (split subqueries still travel
-    whole).
+#: Request kind -> the wire field of its non-boolean replies.
+_REPLY_FIELDS = {
+    "verify_facts": "verdicts",
+    "complete_assignment": "partial",
+    "complete_result": "answer",
+}
+
+#: Wire field -> ``(encode, decode)``.
+_CODECS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "fact": (codec.fact_to_obj, codec.fact_from_obj),
+    "facts": (
+        lambda facts: [codec.fact_to_obj(f) for f in facts],
+        lambda objs: [codec.fact_from_obj(o) for o in objs],
+    ),
+    "query": (codec.query_to_obj, codec.query_from_obj),
+    "answer": (codec.answer_to_obj, codec.answer_from_obj),
+    "partial": (codec.assignment_to_obj, codec.assignment_from_obj),
+    "known": (
+        lambda known: sorted(
+            (codec.answer_to_obj(a) for a in known), key=codec.canonical_json
+        ),
+        lambda objs: [codec.answer_from_obj(o) for o in objs],
+    ),
+    "verdicts": (
+        lambda verdicts: [[codec.fact_to_obj(f), v] for f, v in verdicts.items()],
+        lambda pairs: {codec.fact_from_obj(o): v for o, v in pairs},
+    ),
+}
+
+
+def _fields(kind: Any) -> tuple[str, ...]:
+    fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise CodecError(f"unknown question kind {kind!r}")
+    return fields
+
+
+def question_to_obj(request: tuple, *, session_query: Any = None) -> dict:
+    """Encode one question request (see :mod:`repro.oracle.questions`).
+
+    The object holds the kind, then one named field per argument.  A
+    query that *is* the declared *session_query* wires as the
+    :data:`SESSION_QUERY` marker instead of a full encoding (split
+    subqueries still travel whole).
     """
-    obj: dict[str, Any] = {"kind": kind}
-    if "fact" in parts:
-        obj["fact"] = codec.fact_to_obj(parts["fact"])
-    if "facts" in parts:
-        obj["facts"] = [codec.fact_to_obj(f) for f in parts["facts"]]
-    if "query" in parts:
-        if session_query is not None and parts["query"] is session_query:
-            obj["query"] = SESSION_QUERY
+    obj: dict[str, Any] = {"kind": request[0]}
+    for name, part in zip(_fields(request[0]), request[1:]):
+        if name == "query" and session_query is not None and part is session_query:
+            obj[name] = SESSION_QUERY
         else:
-            obj["query"] = codec.query_to_obj(parts["query"])
-    if "answer" in parts:
-        obj["answer"] = codec.answer_to_obj(parts["answer"])
-    if "partial" in parts:
-        obj["partial"] = codec.assignment_to_obj(parts["partial"])
-    if "known" in parts:
-        obj["known"] = sorted(
-            (codec.answer_to_obj(a) for a in parts["known"]),
-            key=codec.canonical_json,
-        )
+            obj[name] = _CODECS[name][0](part)
     return obj
 
 
-def question_from_obj(obj: dict, *, session_query: Any = None) -> dict:
-    """Decode a question back into domain objects (keyed like the input).
+def question_from_obj(obj: dict, *, session_query: Any = None) -> tuple:
+    """Decode a question object back into its request tuple.
 
     *session_query* resolves the :data:`SESSION_QUERY` marker; a marker
     with no session query declared is a protocol error.
     """
     try:
-        decoded: dict[str, Any] = {"kind": obj["kind"]}
-        if "fact" in obj:
-            decoded["fact"] = codec.fact_from_obj(obj["fact"])
-        if "facts" in obj:
-            decoded["facts"] = [codec.fact_from_obj(o) for o in obj["facts"]]
-        if "query" in obj:
-            if obj["query"] == SESSION_QUERY:
+        parts = [obj["kind"]]
+        for name in _fields(obj["kind"]):
+            if name == "query" and obj[name] == SESSION_QUERY:
                 if session_query is None:
                     raise CodecError(
                         "question references the session query but none "
                         "was declared to the router"
                     )
-                decoded["query"] = session_query
+                parts.append(session_query)
             else:
-                decoded["query"] = codec.query_from_obj(obj["query"])
-        if "answer" in obj:
-            decoded["answer"] = codec.answer_from_obj(obj["answer"])
-        if "partial" in obj:
-            decoded["partial"] = codec.assignment_from_obj(obj["partial"])
-        if "known" in obj:
-            decoded["known"] = [codec.answer_from_obj(o) for o in obj["known"]]
-        return decoded
+                parts.append(_CODECS[name][1](obj[name]))
+        return tuple(parts)
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed question object {obj!r}") from error
 
@@ -200,28 +224,18 @@ def reply_to_obj(kind: str, value: Any) -> dict:
     """Encode an oracle reply (shape depends on the question kind)."""
     if value is None or isinstance(value, bool):
         return {"value": value}
-    if kind == "verify_facts":
-        return {
-            "value": [[codec.fact_to_obj(f), verdict] for f, verdict in value.items()]
-        }
-    if kind == "complete_assignment":
-        return {"value": codec.assignment_to_obj(value)}
-    if kind == "complete_result":
-        return {"value": codec.answer_to_obj(value)}
-    raise CodecError(f"unsupported reply {value!r} for question kind {kind!r}")
+    if kind not in _REPLY_FIELDS:
+        raise CodecError(f"unsupported reply {value!r} for question kind {kind!r}")
+    return {"value": _CODECS[_REPLY_FIELDS[kind]][0](value)}
 
 
 def reply_from_obj(kind: str, obj: dict) -> Any:
     value = obj["value"]
     if value is None or isinstance(value, bool):
         return value
-    if kind == "verify_facts":
-        return {codec.fact_from_obj(o): verdict for o, verdict in value}
-    if kind == "complete_assignment":
-        return codec.assignment_from_obj(value)
-    if kind == "complete_result":
-        return codec.answer_from_obj(value)
-    raise CodecError(f"unsupported reply object {obj!r} for kind {kind!r}")
+    if kind not in _REPLY_FIELDS:
+        raise CodecError(f"unsupported reply object {obj!r} for kind {kind!r}")
+    return _CODECS[_REPLY_FIELDS[kind]][1](value)
 
 
 def answers_to_obj(answers: Sequence) -> list[list]:

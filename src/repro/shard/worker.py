@@ -18,21 +18,20 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Optional
 
 from ..core.qoco import QOCO
 from ..db.database import Database
-from ..db.tuples import Constant, Fact
 from ..durability import codec
-from ..oracle.base import AccountingOracle, Oracle
-from ..query.ast import Query, Var
+from ..oracle.base import AccountingOracle, ForwardingOracle, Oracle
+from ..oracle.questions import Request, ask
+from ..query.ast import Query
 from ..query.backend import resolve_backend
-from ..query.evaluator import Answer, Assignment
 from . import wire
 from .partition import payload_to_database
 
 
-class ProxyOracle(Oracle):
+class ProxyOracle(ForwardingOracle):
     """An oracle whose every question is answered by a callable.
 
     ``ask`` takes a wire-encoded question object and returns the
@@ -49,36 +48,14 @@ class ProxyOracle(Oracle):
         self._ask = ask
         self._session_query = session_query
 
-    def _round_trip(self, kind: str, **parts):
+    def forward(self, request: Request) -> Any:
         reply = self._ask(
-            wire.question_to_obj(kind, session_query=self._session_query, **parts)
+            wire.question_to_obj(request, session_query=self._session_query)
         )
-        return wire.reply_from_obj(kind, reply)
-
-    def verify_fact(self, fact: Fact) -> bool:
-        return self._round_trip("verify_fact", fact=fact)
-
-    def verify_facts(self, facts) -> dict[Fact, bool]:
-        return self._round_trip("verify_facts", facts=facts)
-
-    def verify_answer(self, query: Query, answer: Answer) -> bool:
-        return self._round_trip("verify_answer", query=query, answer=answer)
-
-    def verify_candidate(self, query: Query, partial: Mapping[Var, Constant]) -> bool:
-        return self._round_trip("verify_candidate", query=query, partial=partial)
-
-    def complete_assignment(
-        self, query: Query, partial: Mapping[Var, Constant]
-    ) -> Optional[Assignment]:
-        return self._round_trip("complete_assignment", query=query, partial=partial)
-
-    def complete_result(
-        self, query: Query, known_answers: Iterable[Answer]
-    ) -> Optional[Answer]:
-        return self._round_trip("complete_result", query=query, known=known_answers)
+        return wire.reply_from_obj(request[0], reply)
 
 
-class LatencyOracle(Oracle):
+class LatencyOracle(ForwardingOracle):
     """Adds a fixed wall-clock delay to every question it delegates.
 
     Models the crowd's response time — the dominant cost of a live
@@ -95,36 +72,9 @@ class LatencyOracle(Oracle):
         self.backend = backend
         self.seconds = seconds
 
-    def _wait(self) -> None:
+    def forward(self, request: Request) -> Any:
         time.sleep(self.seconds)
-
-    def verify_fact(self, fact: Fact) -> bool:
-        self._wait()
-        return self.backend.verify_fact(fact)
-
-    def verify_facts(self, facts) -> dict[Fact, bool]:
-        self._wait()
-        return self.backend.verify_facts(facts)
-
-    def verify_answer(self, query: Query, answer: Answer) -> bool:
-        self._wait()
-        return self.backend.verify_answer(query, answer)
-
-    def verify_candidate(self, query: Query, partial: Mapping[Var, Constant]) -> bool:
-        self._wait()
-        return self.backend.verify_candidate(query, partial)
-
-    def complete_assignment(
-        self, query: Query, partial: Mapping[Var, Constant]
-    ) -> Optional[Assignment]:
-        self._wait()
-        return self.backend.complete_assignment(query, partial)
-
-    def complete_result(
-        self, query: Query, known_answers: Iterable[Answer]
-    ) -> Optional[Answer]:
-        self._wait()
-        return self.backend.complete_result(query, known_answers)
+        return ask(self.backend, request)
 
 
 def run_shard(

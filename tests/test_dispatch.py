@@ -26,11 +26,10 @@ from repro.dispatch import (
     WorkerPool,
     dispatch_clean,
     perfect_pool,
-    question_key,
 )
 from repro.oracle.base import AccountingOracle
 from repro.oracle.perfect import PerfectOracle
-from repro.oracle.questions import QuestionKind
+from repro.oracle.questions import QuestionKind, question_key
 from repro.query.ast import Var
 from repro.query.evaluator import evaluate
 from repro.workloads import EX1

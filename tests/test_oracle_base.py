@@ -1,9 +1,9 @@
 """Unit tests for the accounting oracle (caching, cost model)."""
 
 from repro.db.tuples import fact
-from repro.oracle.base import AccountingOracle, open_question_cost, result_question_cost
+from repro.oracle.base import AccountingOracle
 from repro.oracle.perfect import PerfectOracle
-from repro.oracle.questions import QuestionKind
+from repro.oracle.questions import QuestionKind, open_question_cost, result_question_cost
 from repro.query.ast import Var
 from repro.query.parser import parse_query
 from repro.telemetry import telemetry_session
@@ -76,17 +76,17 @@ class TestAnswerCacheStructuralKey:
         oracle = AccountingOracle(PerfectOracle(fig1_gt))
         other = parse_query('q(x) :- teams(x, "EU").')
         assert oracle.verify_answer(EX1, ("GER",)) is True
-        assert oracle.cached_answer(other, ("GER",)) is None
-        assert oracle.cached_answer(EX1, ("BRA",)) is None
+        assert oracle.cached(("verify_answer", other, ("GER",))) is None
+        assert oracle.cached(("verify_answer", EX1, ("BRA",))) is None
         oracle.verify_answer(other, ("GER",))
         assert oracle.log.count_of([QuestionKind.VERIFY_ANSWER]) == 2
 
     def test_remember_answer_preempts_question(self, fig1_gt):
         oracle = AccountingOracle(PerfectOracle(fig1_gt))
-        oracle.remember_answer(EX1, ("GER",), False)  # out-of-band verdict
+        oracle.remember(("verify_answer", EX1, ("GER",)), False)  # out of band
         assert oracle.verify_answer(parse_query(self.EX1_TEXT), ("GER",)) is False
         assert oracle.log.question_count == 0
-        assert oracle.cached_answer(EX1, ("GER",)) is False
+        assert oracle.cached(("verify_answer", EX1, ("GER",))) is False
 
 
 class TestPerfectOracleMemo:

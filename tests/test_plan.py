@@ -7,9 +7,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.qoco import QOCO, QOCOConfig
-from repro.dispatch.dedup import AnswerBoard, question_key
+from repro.dispatch.dedup import AnswerBoard
 from repro.oracle.base import AccountingOracle
 from repro.oracle.perfect import PerfectOracle
+from repro.oracle.questions import question_key
 from repro.plan import (
     ArmStats,
     BanditPlanner,

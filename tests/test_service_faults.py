@@ -11,21 +11,31 @@ Three hostile-client shapes against the live service:
 * **worker reconnect after timeout** — a worker that leases a question
   and vanishes costs one lease expiry; after reconnecting it (or a
   peer) re-leases the question and the session still converges at the
-  in-process question cost.
+  in-process question cost;
+* **malformed replies** — a reply that does not fit its question (a
+  ``null`` vote, a composite verdict missing an asked fact) is refused
+  with 400 instead of counting as a vote.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
 
+from repro.db.tuples import fact
 from repro.dispatch.policy import RetryPolicy
 from repro.oracle.perfect import PerfectOracle
 from repro.server.manager import SessionManager
-from repro.service.broker import QuestionBroker
-from repro.service.client import ServiceClient, WorkerClient, answer_question
+from repro.service.broker import BrokeredOracle, QuestionBroker
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    WorkerClient,
+    answer_question,
+)
 from repro.shard import wire
 from service_harness import ServiceHarness
 
@@ -324,3 +334,77 @@ class TestBrokerBoundedMemory:
                 finally:
                     worker.stop()
                 assert doc["state"] == "committed"
+
+
+class TestMalformedReplies:
+    """A worker reply is vetted against the question it answers."""
+
+    ESP = fact("teams", "ESP", "EU")
+    BRA = fact("teams", "BRA", "EU")
+
+    def _ask_in_thread(self, broker, method, *args):
+        result: dict = {}
+
+        def run():
+            try:
+                result["value"] = getattr(BrokeredOracle(broker), method)(*args)
+            except Exception as error:  # surfaced by the assertions
+                result["error"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, result
+
+    def _post(self, client, qid, reply):
+        return client._http.request(
+            "POST", "/v1/worker/answer", {"worker": "w0", "qid": qid, "reply": reply}
+        )
+
+    def _lease(self, client):
+        lease = client._http.request("GET", "/v1/worker/feed?worker=w0&wait=20")
+        assert lease["question"] is not None
+        return lease["question"]
+
+    def _service(self):
+        workload = build_workload("figure1")
+        manager = SessionManager(workload.dirty.copy(), mode="sync")
+        return ServiceHarness(manager, votes_per_closed=1)
+
+    def test_null_vote_is_refused_and_the_question_stays_open(self):
+        with self._service() as harness:
+            broker = harness.service.broker
+            thread, result = self._ask_in_thread(broker, "verify_fact", self.ESP)
+            with ServiceClient(harness.host, harness.port) as client:
+                lease = self._lease(client)
+                with pytest.raises(ServiceError) as refused:
+                    self._post(client, lease["qid"], {"value": None})
+                assert refused.value.status == 400
+                assert broker.pending_count() == 1
+                assert broker.stats()["resolved"] == 0
+                outcome = self._post(client, lease["qid"], {"value": True})
+                assert outcome == {"status": "accepted", "resolved": True}
+            thread.join(10)
+            assert not thread.is_alive()
+        assert result == {"value": True}
+
+    def test_composite_reply_missing_a_fact_is_refused(self):
+        with self._service() as harness:
+            broker = harness.service.broker
+            thread, result = self._ask_in_thread(
+                broker, "verify_facts", [self.ESP, self.BRA]
+            )
+            with ServiceClient(harness.host, harness.port) as client:
+                lease = self._lease(client)
+                partial = wire.reply_to_obj("verify_facts", {self.ESP: True})
+                with pytest.raises(ServiceError) as refused:
+                    self._post(client, lease["qid"], partial)
+                assert refused.value.status == 400
+                assert broker.pending_count() == 1
+                full = wire.reply_to_obj(
+                    "verify_facts", {self.ESP: True, self.BRA: False}
+                )
+                outcome = self._post(client, lease["qid"], full)
+                assert outcome == {"status": "accepted", "resolved": True}
+            thread.join(10)
+            assert not thread.is_alive()
+        assert result == {"value": {self.ESP: True, self.BRA: False}}

@@ -162,7 +162,7 @@ class TestPayloadWire:
     def test_question_and_reply_objects_survive_pickle(self):
         query = parse_query(QUERIES[3])
         question = wire.question_to_obj(
-            "complete_result", query=query, known=[("a",), ("b",)]
+            ("complete_result", query, [("a",), ("b",)])
         )
         assert pickle.loads(pickle.dumps(question)) == question
         reply = wire.reply_to_obj("complete_result", ("c",))
@@ -226,26 +226,26 @@ class TestSessionQueryElision:
     def test_session_query_wires_as_marker(self):
         query = parse_query(QUERIES[0])
         obj = wire.question_to_obj(
-            "verify_answer", session_query=query, query=query, answer=("a",)
+            ("verify_answer", query, ("a",)), session_query=query
         )
         assert obj["query"] == wire.SESSION_QUERY
         decoded = wire.question_from_obj(_spawn_echo(obj), session_query=query)
-        assert decoded["query"] is query
+        assert decoded[1] is query
 
     def test_other_queries_wire_whole(self):
         session = parse_query(QUERIES[0])
         subquery = parse_query(QUERIES[1])
         obj = wire.question_to_obj(
-            "verify_candidate", session_query=session, query=subquery, partial={}
+            ("verify_candidate", subquery, {}), session_query=session
         )
         assert obj["query"] != wire.SESSION_QUERY
         decoded = wire.question_from_obj(obj, session_query=session)
-        assert decoded["query"] == subquery
+        assert decoded[1] == subquery
 
     def test_marker_without_session_query_is_rejected(self):
         query = parse_query(QUERIES[0])
         obj = wire.question_to_obj(
-            "verify_answer", session_query=query, query=query, answer=("a",)
+            ("verify_answer", query, ("a",)), session_query=query
         )
         with pytest.raises(CodecError, match="session query"):
             wire.question_from_obj(obj)
