@@ -10,7 +10,9 @@ violation contains at least one false fact, so
 * asking ``TRUE(R(ā))?`` about the fact shared by the **most** edges
   either deletes it (resolving all of them at once) or shrinks every
   edge containing it — and a pair edge shrinking to a singleton pins
-  its partner false *without asking* (``constraints.inferred``);
+  its partner false *without asking* (``constraints.inferred``); a
+  :class:`~repro.hitting.hitting_set.DegreeQueue` keeps the degrees as
+  edges resolve, so no pick recounts the hypergraph;
 * questions are never repeated: the :class:`AccountingOracle` cache and
   the cross-session :class:`~repro.dispatch.dedup.AnswerBoard` (when
   the repairer runs under a :class:`~repro.server.SessionManager`)
@@ -44,6 +46,7 @@ from ..core.registry import REGISTRY
 from ..db.database import Database
 from ..db.edits import Edit, EditKind, delete as delete_edit, insert as insert_edit
 from ..db.tuples import Fact
+from ..hitting.hitting_set import DegreeQueue
 from ..oracle.base import AccountingOracle, Oracle
 from ..query.ast import Atom, Query, Var
 from ..query.backend import EvalBackend
@@ -131,6 +134,23 @@ def _as_accounting(oracle: Oracle) -> AccountingOracle:
     return oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
 
 
+def _pairs_by_fact(violations: list[Violation]) -> dict[Fact, list[tuple[Fact, int]]]:
+    """Each fact's FD pair partners and differing RHS column, in
+    violation order (the first violation of a fact pair wins), so an
+    update knows which cell to rewrite."""
+    pairs: dict[Fact, list[tuple[Fact, int]]] = {}
+    seen: set[frozenset[Fact]] = set()
+    for violation in violations:
+        position = violation.rhs_position
+        if position is None or len(violation.facts) != 2 or violation.facts in seen:
+            continue
+        seen.add(violation.facts)
+        a, b = violation.facts
+        pairs.setdefault(a, []).append((b, position))
+        pairs.setdefault(b, []).append((a, position))
+    return pairs
+
+
 class OracleRepairer:
     """Repairs constraint violations by asking the oracle which facts lie.
 
@@ -202,9 +222,11 @@ class OracleRepairer:
                 report.rounds += 1
                 report.violations_found += len(violations)
                 self._resolve(violations, report, cost_before, start)
-            report.consistent = not find_violations(
-                self.database, self.constraints, backend=self.backend
-            )
+            else:
+                violations = find_violations(
+                    self.database, self.constraints, backend=self.backend
+                )
+            report.consistent = not violations
         report.questions_asked = self.oracle.log.question_count - questions_before
         report.cost = self.oracle.log.total_cost - cost_before
         report.wall_clock = time.perf_counter() - start
@@ -224,54 +246,49 @@ class OracleRepairer:
     ) -> None:
         """Decide a repair for every violation found this round."""
         dangling = [v for v in violations if v.parent is not None]
-        edges = violation_hypergraph(v for v in violations if v.parent is None)
-        # Edges carry their FD context so updates know which cell differs.
-        pair_context: dict[frozenset[Fact], Violation] = {}
-        for violation in violations:
-            if violation.rhs_position is not None and len(violation.facts) == 2:
-                pair_context.setdefault(violation.facts, violation)
+        # A fact's verdict becomes known only when it is asked, deleted or
+        # inferred (and then deleted free before the next pick), so the
+        # queue never holds a stale "known" flag below its top.
+        queue = DegreeQueue(
+            violation_hypergraph(v for v in violations if v.parent is None),
+            known=self.oracle.knows_fact,
+        )
+        pairs = _pairs_by_fact(violations) if self.updates else {}
         #: facts the oracle certified true in this round
         certified: set[Fact] = set()
-        while edges:
+        while queue:
             # 1. singleton edges are free: their fact is certainly false
-            singleton = next((e for e in edges if len(e) == 1), None)
-            if singleton is not None:
-                (fact,) = singleton
+            fact = queue.first_singleton()
+            if fact is not None:
                 self._delete(fact, report)
                 if self.updates:
-                    self._try_update(fact, pair_context, certified, report)
+                    self._try_update(fact, pairs, certified, report)
                 report.free_deletions += 1
                 if _TELEMETRY.enabled:
                     _TELEMETRY.count("constraints.free_deletions")
-                edges = [e for e in edges if fact not in e]
+                queue.hit(fact)
                 continue
             # 2. budget gate before the next paid question
             if self._exhausted(cost_before, start):
-                self._degrade(edges + [v.facts for v in dangling if self._dangles(v)], report)
+                self._degrade(
+                    queue.edges() + [v.facts for v in dangling if self._dangles(v)], report
+                )
                 return
             # 3. ask about the most shared fact (cache makes repeats free)
-            fact = self._most_frequent(edges)
+            fact = self._most_frequent(queue)
             if self.oracle.verify_fact(fact):
                 certified.add(fact)
-                shrunk = []
-                for edge in edges:
-                    if fact in edge:
-                        rest = frozenset(edge - {fact})
-                        if len(rest) == 1 and _TELEMETRY.enabled:
-                            _TELEMETRY.count("constraints.inferred")
-                        if len(rest) == 1:
-                            report.inferred += 1
-                            (partner,) = rest
-                            self.oracle.remember_fact(partner, False)
-                        shrunk.append(rest)
-                    else:
-                        shrunk.append(edge)
-                edges = shrunk
+                # a pair edge shrunk to one fact pins that fact false
+                for partner in queue.shrink(fact):
+                    if _TELEMETRY.enabled:
+                        _TELEMETRY.count("constraints.inferred")
+                    report.inferred += 1
+                    self.oracle.remember_fact(partner, False)
             else:
                 self._delete(fact, report)
                 if self.updates:
-                    self._try_update(fact, pair_context, certified, report)
-                edges = [e for e in edges if fact not in e]
+                    self._try_update(fact, pairs, certified, report)
+                queue.hit(fact)
         for index, violation in enumerate(dangling):
             if not self._dangles(violation):
                 continue  # resolved by an earlier repair this round
@@ -294,9 +311,10 @@ class OracleRepairer:
         )
 
     def _exhausted(self, cost_before: int, start: float) -> bool:
+        if self.budget is None:
+            return False  # skip the log total: it sums every record
         spent = self.oracle.log.total_cost - cost_before
-        elapsed = time.perf_counter() - start
-        return self.budget is not None and self.budget.exhausted(spent, elapsed)
+        return self.budget.exhausted(spent, time.perf_counter() - start)
 
     def _insert_parent(self, parent: Atom, report: RepairReport) -> None:
         """Insert the missing parent of a true child.
@@ -318,17 +336,10 @@ class OracleRepairer:
         if self.database.insert(fact):
             report.edits.append(insert_edit(fact))
 
-    def _most_frequent(self, edges: list[frozenset[Fact]]) -> Fact:
+    def _most_frequent(self, queue: DegreeQueue) -> Fact:
         """The fact on the most edges; known verdicts first so cached
         questions (free) are preferred over fresh ones at equal degree."""
-        counts: dict[Fact, int] = {}
-        for edge in edges:
-            for fact in edge:
-                counts[fact] = counts.get(fact, 0) + 1
-        return max(
-            counts,
-            key=lambda f: (counts[f], self.oracle.knows_fact(f), repr(f)),
-        )
+        return queue.top()
 
     def _delete(self, fact: Fact, report: RepairReport) -> None:
         if self.database.delete(fact):
@@ -338,18 +349,14 @@ class OracleRepairer:
     def _try_update(
         self,
         false_fact: Fact,
-        pair_context: dict[frozenset[Fact], Violation],
+        pairs: dict[Fact, list[tuple[Fact, int]]],
         certified: set[Fact],
         report: RepairReport,
     ) -> None:
         """Propose ``false[rhs] := partner[rhs]`` for one certified pair."""
-        for facts, violation in pair_context.items():
-            if false_fact not in facts:
-                continue
-            (partner,) = facts - {false_fact}
+        for partner, position in pairs.get(false_fact, ()):
             if partner not in certified:
                 continue
-            position = violation.rhs_position
             corrected = false_fact.replace(position, partner.values[position])
             if corrected in self.database:
                 continue
@@ -424,9 +431,12 @@ class ExhaustiveRepairer:
                 # cannot be repaired by deletion alone — give up cleanly
                 report.converged = False
                 break
-        report.consistent = not find_violations(
-            self.database, self.constraints, backend=self.backend
-        )
+        else:
+            violations = find_violations(
+                self.database, self.constraints, backend=self.backend
+            )
+        # either break leaves the database as that round's detection saw it
+        report.consistent = not violations
         report.questions_asked = self.oracle.log.question_count - questions_before
         report.cost = self.oracle.log.total_cost - cost_before
         report.wall_clock = time.perf_counter() - start
@@ -489,7 +499,9 @@ class GreedyRepairStrategy:
             for edit in greedy_repair(violations).edits:
                 if edit.apply(database):
                     report.edits.append(edit)
-        report.consistent = not find_violations(database, constraints, backend=backend)
+        else:
+            violations = find_violations(database, constraints, backend=backend)
+        report.consistent = not violations
         return report
 
 

@@ -1,6 +1,7 @@
 """Hitting-set machinery for the deletion algorithm (Section 4)."""
 
 from .hitting_set import (
+    DegreeQueue,
     all_minimal_hitting_sets,
     exact_minimum_hitting_set,
     greedy_hitting_set,
@@ -13,6 +14,7 @@ from .hitting_set import (
 )
 
 __all__ = [
+    "DegreeQueue",
     "all_minimal_hitting_sets",
     "exact_minimum_hitting_set",
     "greedy_hitting_set",

@@ -1,8 +1,12 @@
 """Unit tests for the hitting-set machinery (Definition 4.3, Theorem 4.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_repairer import reference_greedy_hitting_set, reference_most_frequent_element
 from repro.hitting.hitting_set import (
+    DegreeQueue,
     all_minimal_hitting_sets,
     exact_minimum_hitting_set,
     greedy_hitting_set,
@@ -145,3 +149,119 @@ class TestAllMinimal:
 
     def test_unhittable(self):
         assert all_minimal_hitting_sets([set()]) == []
+
+
+class TestDegreeQueue:
+    def test_top_is_most_frequent_then_largest_repr(self):
+        assert DegreeQueue([{1, 2}, {2, 3}, {3}]).top() == 3
+        assert DegreeQueue([{1, 2}, {2, 3}, {9}]).top() == 2
+
+    def test_known_breaks_degree_ties_before_repr(self):
+        assert DegreeQueue([{1, 2}], known=lambda x: x == 1).top() == 1
+        assert DegreeQueue([{1, 2}, {2, 3}], known=lambda x: x == 1).top() == 2
+
+    def test_known_is_reread_at_the_top(self):
+        known = {1}
+        queue = DegreeQueue([{1, 2}], known=known.__contains__)
+        assert queue.top() == 1
+        known.clear()
+        assert queue.top() == 2
+
+    def test_hit_drops_every_edge_of_the_element(self):
+        queue = DegreeQueue([{1, 2}, {2, 3}, {3, 4}])
+        queue.hit(2)
+        assert queue.edges() == [frozenset({3, 4})]
+        assert queue.top() == 4
+        queue.hit(4)
+        assert not queue
+        with pytest.raises(IndexError):
+            queue.top()
+
+    def test_shrink_returns_new_singletons_in_edge_order(self):
+        queue = DegreeQueue([{1, 9}, {2, 9}, {1, 3, 9}])
+        assert queue.shrink(9) == [1, 2]
+        assert queue.edges() == [frozenset({1}), frozenset({2}), frozenset({1, 3})]
+        assert queue.first_singleton() == 1
+        assert queue.top() == 1
+
+    def test_edges_shrunk_into_duplicates_count_twice(self):
+        queue = DegreeQueue([{1, 8}, {1, 9}, {5, 6}, {5, 7}, {6, 7}])
+        assert queue.shrink(8) == [1]
+        assert queue.shrink(9) == [1]
+        queue.hit(queue.first_singleton())
+        # 1 was on two live edges; the 5/6/7 triangle gives each degree 2
+        assert queue.top() == 7
+
+    def test_first_singleton_follows_input_order(self):
+        queue = DegreeQueue([{1, 2}, {5}, {3}])
+        assert queue.first_singleton() == 5
+        queue.shrink(2)
+        assert queue.first_singleton() == 1
+        queue.hit(1)
+        queue.hit(5)
+        assert queue.first_singleton() == 3
+        queue.hit(3)
+        assert queue.first_singleton() is None
+
+    def test_equal_reprs_go_to_the_first_seen(self):
+        class Same:
+            def __repr__(self):
+                return "same"
+
+        a, b = Same(), Same()
+        assert DegreeQueue([{a}, {b}]).top() is a
+        assert most_frequent_element([{b}, {a}]) is reference_most_frequent_element([{b}, {a}])
+
+    def test_empty_edge_raises(self):
+        with pytest.raises(ValueError):
+            DegreeQueue([{1}, set()])
+        queue = DegreeQueue([{1}])
+        with pytest.raises(ValueError):
+            queue.shrink(1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=st.lists(
+            st.sets(st.integers(min_value=0, max_value=12), min_size=1, max_size=4),
+            max_size=14,
+        ),
+        known=st.sets(st.integers(min_value=0, max_value=12)),
+        data=st.data(),
+    )
+    def test_matches_a_recount_over_the_shrinking_system(self, edges, known, data):
+        """Every top equals ``max(counts, key=(count, known, repr))`` and
+        every first singleton the first one-element edge, over any mix of
+        hits and shrinks (duplicate edges kept, as the repairer keeps them)."""
+        queue = DegreeQueue(edges, known=known.__contains__)
+        live = [frozenset(e) for e in edges]
+        while live:
+            assert queue.edges() == live
+            single = next((e for e in live if len(e) == 1), None)
+            assert queue.first_singleton() == (None if single is None else next(iter(single)))
+            if single is not None:
+                (x,) = single
+                queue.hit(x)
+                live = [e for e in live if x not in e]
+                continue
+            counts: dict = {}
+            for edge in live:
+                for x in edge:
+                    counts[x] = counts.get(x, 0) + 1
+            x = max(counts, key=lambda e: (counts[e], e in known, repr(e)))
+            assert queue.top() == x
+            if data.draw(st.booleans()):
+                queue.hit(x)
+                live = [e for e in live if x not in e]
+            else:
+                queue.shrink(x)
+                live = [e - {x} if x in e else e for e in live]
+        assert not queue
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=5),
+                 max_size=16)
+    )
+    def test_greedy_and_most_frequent_match_the_recount(self, sets):
+        assert greedy_hitting_set(sets) == reference_greedy_hitting_set(sets)
+        assert most_frequent_element(sets) == reference_most_frequent_element(sets)
